@@ -12,6 +12,9 @@ package immortaldb
 // same history).
 
 import (
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -119,4 +122,75 @@ func TestAsOfBoundaries(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(db, tbl)
+}
+
+// TestAsOfExactUnderConcurrentSplits pins the Section 3.3 time-split rule
+// under the two-phase commit pipeline, with no crash involved: a version may
+// stay TID-marked on the current page across a time split only if its commit
+// time is not earlier than the split time. Several writers on disjoint keys
+// fill 1 KB pages so time splits constantly race commits that have drawn a
+// timestamp but not yet published it; AS OF each acknowledged transaction's
+// own CommitTS must then return exactly what that transaction wrote.
+func TestAsOfExactUnderConcurrentSplits(t *testing.T) {
+	const (
+		writers = 4
+		rounds  = 60
+		txns    = 60
+		keys    = 3
+	)
+	type ack struct {
+		ts       Timestamp
+		key, val string
+	}
+	for round := 0; round < rounds; round++ {
+		db, _ := openTestDB(t, nil)
+		tbl, err := db.CreateTable("t", TableOptions{Immortal: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks := make([][]ack, writers)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < txns; i++ {
+					key := fmt.Sprintf("w%d.k%d", w, i%keys)
+					val := fmt.Sprintf("r%d.t%d.%s", round, i, strings.Repeat("v", 40+i%30))
+					tx, err := db.Begin(Serializable)
+					if err != nil {
+						t.Errorf("begin: %v", err)
+						return
+					}
+					if err := tx.Set(tbl, []byte(key), []byte(val)); err != nil {
+						t.Errorf("set: %v", err)
+						return
+					}
+					if err := tx.Commit(); err != nil {
+						t.Errorf("commit: %v", err)
+						return
+					}
+					acks[w] = append(acks[w], ack{tx.CommitTS(), key, val})
+				}
+			}(w)
+		}
+		wg.Wait()
+		for w := range acks {
+			for _, a := range acks[w] {
+				tx, err := db.BeginAsOfTS(a.ts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, found, err := tx.Get(tbl, []byte(a.key))
+				tx.Commit()
+				if err != nil || !found || string(got) != a.val {
+					t.Fatalf("round %d: AS OF %v, its own commit timestamp, %s = %.20q (found=%v, err=%v), want %.20q",
+						round, a.ts, a.key, got, found, err, a.val)
+				}
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -505,10 +505,6 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 		db.closeFiles()
 		return nil, fmt.Errorf("immortaldb: recovery: %w", err)
 	}
-	// Recovery republished every durable commit, so the watermark starts at
-	// the last issued timestamp.
-	last := db.seq.Last()
-	db.visible.Store(&last)
 	// Open a tree per table. The cold tier loads first: recovery's redo may
 	// already have swapped newer manifests into the store, and LoadTable is
 	// idempotent against that (file state is authoritative).
@@ -711,7 +707,11 @@ func (db *DB) treeConfig(t *catalog.Table) tsb.Config {
 		Immortal:  t.Immortal,
 		NoTail:    !t.Versioned(),
 		SplitNow: func() itime.Timestamp {
-			now := db.seq.Last().Next()
+			// The published watermark, not seq.Last(): a committer that has
+			// drawn its timestamp but not yet published its TID mapping is
+			// still TID-marked on the page, and stays on the current side of
+			// the split only if the boundary does not pass its commit time.
+			now := db.visibleTS().Next()
 			// A transaction that fixed its timestamp early (CURRENT TIME)
 			// will commit versions stamped at that reserved time; the time
 			// split boundary must not pass it.

@@ -1,124 +1,17 @@
 package immortaldb_test
 
-// The error-persistence matrix: the crash matrix's sibling for disks that
-// fail WITHOUT stopping the machine. Each cell arms one sustained fault —
-// EIO on WAL segments, the page file or the timestamp table, ENOSPC on
-// writes or preallocation, failing (and lying, fsyncgate-style) fsyncs,
-// read errors — at a chosen I/O operation index, persisting for a chosen
-// number of operations or forever. The engine must contain every cell:
-// no acked commit lost, the unacked one all-or-nothing, reads served while
-// degraded, writes refused with ErrDegraded before any acknowledgement.
-//
-// A failing cell is a replayable coordinate:
-//
-//	go test -run TestPersistMatrix -pseed=<S> -pkind=<K> -ppoint=<N> -ppersist=<P>
+// Two end-to-end pins on the disk-fault containment policy that the
+// persistence scenarios of the crash matrix (matrix_test.go) sweep: the
+// fsyncgate never-retry rule and the ENOSPC escape hatch.
 
 import (
 	"errors"
-	"flag"
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"immortaldb"
-	"immortaldb/internal/fault"
 	"immortaldb/internal/storage/vfs"
 )
-
-var (
-	persistSeed  = flag.Int64("pseed", 1, "persistence-matrix workload seed")
-	persistKind  = flag.String("pkind", "", "replay a single cell: fault kind name (empty = full matrix)")
-	persistPoint = flag.Int64("ppoint", 0, "replay: I/O operation index at which the fault starts")
-	persistLen   = flag.Int64("ppersist", 1, "replay: failing operations before the fault clears (-1 = never)")
-)
-
-// minPersistCells is the floor for the full grid: the matrix is only an
-// error-persistence sweep if fault kinds × start points × persistence
-// lengths actually multiply out.
-const minPersistCells = 200
-
-func runPersistCell(t *testing.T, seed int64, kind fault.PersistKind, startOp, persist int64) *fault.PersistResult {
-	t.Helper()
-	f := kind.Fault
-	f.StartOp = startOp
-	f.Count = persist
-	res := fault.RunPersist(fault.PersistConfig{Seed: seed, Fault: f})
-	if err := fault.VerifyPersist(res); err != nil {
-		t.Fatalf("%v\n%s", err, fault.DescribePersist(res, kind.Name))
-	}
-	return res
-}
-
-func TestPersistMatrix(t *testing.T) {
-	if *persistKind != "" {
-		kind, ok := fault.KindByName(*persistKind)
-		if !ok {
-			t.Fatalf("unknown -pkind %q", *persistKind)
-		}
-		runPersistCell(t, *persistSeed, kind, *persistPoint, *persistLen)
-		return
-	}
-
-	// Baseline without a fault: must run clean, and its I/O operation count
-	// calibrates where the matrix places fault start points.
-	base := fault.RunPersist(fault.PersistConfig{Seed: *persistSeed})
-	if err := fault.VerifyPersist(base); err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	if !base.Clean {
-		t.Fatalf("baseline workload did not finish clean: %+v", base)
-	}
-	total := base.FS.IOOpCount()
-	if total < 100 {
-		t.Fatalf("baseline generated only %d I/O ops; matrix would be vacuous", total)
-	}
-
-	starts := int64(9)
-	persists := []int64{1, 4, -1}
-	if testing.Short() {
-		starts = 3
-		persists = []int64{1, -1}
-	}
-	cells := 0
-	var degraded, clean atomic.Int64
-	for _, kind := range fault.PersistKinds {
-		kind := kind
-		for s := int64(0); s < starts; s++ {
-			// Start points sample the whole workload, open included.
-			startOp := s*total/starts + 1
-			for _, p := range persists {
-				p := p
-				cells++
-				name := fmt.Sprintf("%s/op%d/n%d", kind.Name, startOp, p)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					res := runPersistCell(t, *persistSeed, kind, startOp, p)
-					if res.Degraded {
-						degraded.Add(1)
-					}
-					if res.Clean {
-						clean.Add(1)
-					}
-				})
-			}
-		}
-	}
-	if !testing.Short() && cells < minPersistCells {
-		t.Errorf("matrix swept only %d cells, want >= %d", cells, minPersistCells)
-	}
-	// Runs after every parallel cell: the grid must actually bite. Every
-	// permanent fault that starts inside the workload should degrade the
-	// engine, and some transient ones should be survived outright.
-	t.Cleanup(func() {
-		t.Logf("persistence matrix: %d cells, %d degraded, %d clean", cells, degraded.Load(), clean.Load())
-		if d := degraded.Load(); d < int64(cells)/4 {
-			t.Errorf("only %d/%d cells degraded the engine; the faults are not biting", d, cells)
-		}
-		if clean.Load() == 0 {
-			t.Errorf("no cell survived its transient fault cleanly; persistence clearing is not exercised")
-		}
-	})
-}
 
 // openSim opens a database on fs with the small-geometry test options.
 func openSim(t *testing.T, fs *vfs.SimFS) *immortaldb.DB {

@@ -560,11 +560,16 @@ type wconn struct {
 
 func (c *wconn) handshake(ctx context.Context, timeout time.Duration) error {
 	c.applyDeadline(ctx, timeout)
-	if err := wire.WriteFrame(c.nc, wire.MsgHello, wire.HelloPayload()); err != nil {
-		return err
-	}
+	// A server over its connection cap answers with a typed refusal and hangs
+	// up without reading the hello, so the write can fail while the refusal
+	// is already readable: read first, and report the write only if nothing
+	// came.
+	werr := wire.WriteFrame(c.nc, wire.MsgHello, wire.HelloPayload())
 	typ, payload, err := wire.ReadFrame(c.br)
 	if err != nil {
+		if werr != nil {
+			return werr
+		}
 		return err
 	}
 	c.nc.SetDeadline(time.Time{})

@@ -67,13 +67,15 @@ func TestStaleIdleConnRetrySim(t *testing.T) {
 	}
 
 	// Push virtual time past the idle timeout and wait for the server to
-	// reap the pooled connection.
-	tl.Advance(5 * time.Minute)
+	// reap the pooled connection. The advance repeats: the server may arm its
+	// idle deadline only after the client already holds the reply, and a
+	// deadline armed after a single advance would never come due.
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Stats().ActiveConns != 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("server never reaped the idle connection")
 		}
+		tl.Advance(5 * time.Minute)
 		time.Sleep(time.Millisecond)
 	}
 

@@ -146,9 +146,11 @@ func (c *conn) serve() {
 				}
 				break
 			}
+			// Decremented before the reply goes out, as on the error branch: a
+			// client holding its reply must never still count as in flight.
+			obsInflight.Dec()
 			werr := wire.WriteFrame(c.nc, wire.MsgResult, res.AppendBinary(nil))
 			obsExecLat.ObserveSince(execStart)
-			obsInflight.Dec()
 			if release != nil {
 				release()
 			}

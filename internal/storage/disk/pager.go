@@ -350,17 +350,24 @@ func (p *Pager) Allocate() (page.ID, error) {
 	if p.closed {
 		return 0, ErrClosed
 	}
-	if p.freeHead != 0 {
-		id := p.freeHead
-		buf := make([]byte, p.pageSize)
-		if _, err := p.f.ReadAt(buf, int64(id)*int64(p.pageSize)); err != nil {
-			return 0, fmt.Errorf("disk: read free page %d: %w", id, err)
+	if id := p.freeHead; id != 0 {
+		if uint64(id) < p.numPages {
+			buf := make([]byte, p.pageSize)
+			if _, err := p.f.ReadAt(buf, int64(id)*int64(p.pageSize)); err != nil {
+				return 0, fmt.Errorf("disk: read free page %d: %w", id, err)
+			}
+			if page.TypeOf(buf) == page.TypeFree {
+				p.freeHead = page.ID(binary.BigEndian.Uint64(buf[page.PayloadOff:]))
+				return id, nil
+			}
 		}
-		if page.TypeOf(buf) != page.TypeFree {
-			return 0, fmt.Errorf("disk: free list head %d is a %v page", id, page.TypeOf(buf))
-		}
-		p.freeHead = page.ID(binary.BigEndian.Uint64(buf[page.PayloadOff:]))
-		return id, nil
+		// The head reaches the meta page only at Sync, unordered against the
+		// pages it speaks of, so after a crash it can name a page that was
+		// reallocated since — and that redo has just rewritten as a live page
+		// — or one whose file growth was lost. Nothing behind a stale head is
+		// reachable: drop the list (its pages leak, the safe outcome Sync
+		// documents) and extend the file instead.
+		p.freeHead = 0
 	}
 	id := page.ID(p.numPages)
 	p.numPages++

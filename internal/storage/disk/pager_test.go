@@ -3,11 +3,13 @@ package disk
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"immortaldb/internal/storage/page"
+	"immortaldb/internal/storage/vfs"
 )
 
 func openTemp(t *testing.T, pageSize int) (*Pager, string) {
@@ -181,6 +183,65 @@ func TestFreeListSurvivesSyncAndReopen(t *testing.T) {
 	}
 	if got != a {
 		t.Fatalf("freed page not reused after reopen: got %d want %d", got, a)
+	}
+}
+
+// TestStaleFreeListHeadAfterCrash: the free-list head is persisted only at
+// Sync, unordered against the pages it names, so a crash can leave it
+// pointing at a page that was reallocated and rewritten since, or at one
+// whose file growth was lost. The next allocation must drop the stale list
+// and extend the file, never fail or hand a live page out again.
+func TestStaleFreeListHeadAfterCrash(t *testing.T) {
+	for name, lose := range map[string]func(p *Pager, a page.ID) error{
+		"reallocated": func(p *Pager, a page.ID) error {
+			if got, _ := p.Allocate(); got != a {
+				return fmt.Errorf("reuse: got %d want %d", got, a)
+			}
+			return p.WritePage(a, mkPage(p, 2))
+		},
+		"growth lost": func(p *Pager, a page.ID) error {
+			return p.f.Truncate(int64(a) * int64(p.pageSize))
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := vfs.NewSim(1)
+			p, err := OpenFS(fs, "db.pages", 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, _ := p.Allocate()
+			if err := p.WritePage(a, mkPage(p, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Free(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Sync(); err != nil { // durable head = a
+				t.Fatal(err)
+			}
+			if err := lose(p, a); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.f.Sync(); err != nil { // the file is durable, the new head is not
+				t.Fatal(err)
+			}
+			fs.Crash()
+			fs.Reboot()
+
+			q, err := OpenFS(fs, "db.pages", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer q.Close()
+			n := q.NumPages()
+			got, err := q.Allocate()
+			if err != nil {
+				t.Fatalf("allocation over a stale free-list head: %v", err)
+			}
+			if got != page.ID(n) {
+				t.Fatalf("allocated %d, want a fresh page %d", got, n)
+			}
+		})
 	}
 }
 

@@ -94,32 +94,39 @@ func (t *Tree) Insert(tid itime.TID, key, value []byte, stub bool, logRec Insert
 	return 0, fmt.Errorf("tsb: insert of %q did not converge after %d split rounds", key, maxSplitRounds)
 }
 
-// UndoReplaceOwn rolls back an in-place same-transaction overwrite.
+// UndoReplaceOwn rolls back an in-place same-transaction overwrite. The
+// displaced value may be longer than the one it replaces, so like every
+// other write path it splits a full page and retries.
 func (t *Tree) UndoReplaceOwn(tid itime.TID, key, oldVal []byte, oldStub bool, logRec LogFunc) error {
 	if logRec == nil {
 		logRec = nopLog
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	path, lf, err := t.descend(key, itime.Max)
-	if err != nil {
-		return err
+	for round := 0; round < maxSplitRounds; round++ {
+		path, lf, err := t.descend(key, itime.Max)
+		if err != nil {
+			return err
+		}
+		dp := lf.Data()
+		err = dp.RestoreOwn(key, tid, oldVal, oldStub)
+		if err == nil {
+			lsn, lerr := logRec(dp.ID)
+			if lerr == nil && lsn != 0 {
+				dp.LSN = lsn
+			}
+			t.cfg.Pool.MarkDirty(lf, dp.LSN)
+			err = lerr
+		} else if errors.Is(err, page.ErrPageFull) {
+			err = t.splitLeaf(path, lf)
+		}
+		t.releasePath(path)
+		t.cfg.Pool.Release(lf)
+		if !errors.Is(err, errRetry) {
+			return err
+		}
 	}
-	defer t.cfg.Pool.Release(lf)
-	defer t.releasePath(path)
-	dp := lf.Data()
-	if err := dp.RestoreOwn(key, tid, oldVal, oldStub); err != nil {
-		return err
-	}
-	lsn, lerr := logRec(dp.ID)
-	if lerr != nil {
-		return lerr
-	}
-	if lsn != 0 {
-		dp.LSN = lsn
-	}
-	t.cfg.Pool.MarkDirty(lf, dp.LSN)
-	return nil
+	return fmt.Errorf("tsb: undo of own overwrite of %q did not converge after %d split rounds", key, maxSplitRounds)
 }
 
 // NoTailLogFunc logs a conventional-table write; old carries the value the

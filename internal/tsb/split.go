@@ -30,6 +30,11 @@ const entrySlack = 32
 func (t *Tree) splitLeaf(path []pathEntry, lf *buffer.Frame) error {
 	dp := lf.Data()
 
+	// The boundary is chosen before stamping (see Config.SplitNow).
+	var splitTS itime.Timestamp
+	if t.cfg.Immortal && !t.cfg.NoTail && t.cfg.SplitNow != nil {
+		splitTS = t.cfg.SplitNow()
+	}
 	if t.stampPage(dp) {
 		t.cfg.Pool.MarkDirty(lf, dp.LSN)
 	}
@@ -47,12 +52,7 @@ func (t *Tree) splitLeaf(path []pathEntry, lf *buffer.Frame) error {
 		}
 	}
 
-	wantTime := false
-	var splitTS itime.Timestamp
-	if t.cfg.Immortal && !t.cfg.NoTail && t.cfg.SplitNow != nil {
-		splitTS = t.cfg.SplitNow()
-		wantTime = dp.StartTS.Less(splitTS) && dp.TimeSplitGain(splitTS) > 0
-	}
+	wantTime := !splitTS.IsZero() && dp.StartTS.Less(splitTS) && dp.TimeSplitGain(splitTS) > 0
 
 	// Ensure the parent can absorb the index growth before touching the data
 	// page; if not, split the parent first and retry from the top.

@@ -114,9 +114,13 @@ type Config struct {
 	// NoTail marks a conventional table: no version chains at all, updates
 	// in place. Implies !Immortal.
 	NoTail bool
-	// SplitNow supplies the "current time" used as a time-split boundary; it
-	// must return a timestamp strictly greater than every issued commit
-	// timestamp (the engine wires it to the commit sequencer).
+	// SplitNow supplies the "current time" used as a time-split boundary: a
+	// timestamp no later than the commit time of any transaction whose TID
+	// mapping is not yet resolvable (Section 3.3: an uncommitted version
+	// stays on the current page because it will commit after the split
+	// time). splitLeaf reads it BEFORE lazily stamping the page, so every
+	// version still TID-marked after stamping commits at or after it. The
+	// engine wires it to the published-commit watermark.
 	SplitNow func() itime.Timestamp
 	// SnapshotHorizon returns the oldest timestamp any active snapshot
 	// transaction can still read; versions strictly older than the version

@@ -299,6 +299,56 @@ func TestUndoInsertThroughTree(t *testing.T) {
 	}
 }
 
+// leafFree returns the free bytes on the current page holding key.
+func (h *harness) leafFree(key string) int {
+	h.t.Helper()
+	h.tree.mu.RLock()
+	defer h.tree.mu.RUnlock()
+	path, lf, err := h.tree.descend([]byte(key), itime.Max)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	h.tree.releasePath(path)
+	defer h.tree.cfg.Pool.Release(lf)
+	return lf.Data().Size - lf.Data().Used()
+}
+
+// TestUndoReplaceOwnOnFullPage: a transaction shrinks its own uncommitted
+// value in place, committed neighbours then fill the page to the byte, and
+// the rollback must still put the longer value back — by splitting, like
+// every other write path.
+func TestUndoReplaceOwnOnFullPage(t *testing.T) {
+	h := newHarness(t, ModeChain, 512, true)
+	tid := h.nextTID
+	h.nextTID++
+	long := bytes.Repeat([]byte("L"), 120)
+	for _, v := range [][]byte{long, []byte("s")} {
+		if _, err := h.tree.Insert(tid, []byte("k"), v, false, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A probe neighbour measures a record's fixed cost; the second is sized
+	// to land the page on exactly zero free bytes.
+	before := h.leafFree("k")
+	h.write("f0", "0123456789", false)
+	fixed := before - h.leafFree("k") - 10
+	h.write("f1", string(bytes.Repeat([]byte("f"), h.leafFree("k")-fixed)), false)
+	if s := h.tree.Snapshot(); h.leafFree("k") != 0 || s.TimeSplits+s.KeySplits != 0 {
+		t.Fatalf("setup: %d bytes free after %+v, want a full, never-split page", h.leafFree("k"), s)
+	}
+
+	if err := h.tree.UndoReplaceOwn(tid, []byte("k"), long, false, nil); err != nil {
+		t.Fatalf("undo of own overwrite on a full page: %v", err)
+	}
+	r, err := h.tree.ReadKey([]byte("k"), itime.Max, tid)
+	if err != nil || !r.Found || !bytes.Equal(r.Value, long) {
+		t.Fatalf("own read after undo = %+v, %v; want the %d-byte value back", r, err, len(long))
+	}
+	if r := h.read("f0", itime.Max); !r.Found || string(r.Value) != "0123456789" {
+		t.Fatalf("neighbour after the undo's split: %+v", r)
+	}
+}
+
 func TestHistoryTimeTravel(t *testing.T) {
 	for _, mode := range []Mode{ModeChain, ModeTSB} {
 		t.Run(fmt.Sprint(mode), func(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"immortaldb/internal/itime"
+	"immortaldb/internal/storage/vfs"
 )
 
 func openDurable(t *testing.T) *Log {
@@ -229,5 +230,95 @@ func TestFlushToSkipsRedundantSync(t *testing.T) {
 	}
 	if _, after := l.Stats(); after != before {
 		t.Fatalf("covered FlushTo issued %d extra fsyncs", after-before)
+	}
+}
+
+// gatedFS blocks segment writes while armed, holding a flush round between
+// its capture of the buffer and the bytes reaching the file.
+type gatedFS struct {
+	vfs.FS
+	armed   atomic.Bool
+	entered chan struct{} // a write reached the gate
+	release chan struct{} // closed to let it through
+}
+
+type gatedFile struct {
+	vfs.File
+	fs *gatedFS
+}
+
+func (fs *gatedFS) OpenFile(name string) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(name)
+	return gatedFile{f, fs}, err
+}
+
+func (f gatedFile) WriteAt(p []byte, off int64) (int, error) {
+	if f.fs.armed.CompareAndSwap(true, false) {
+		close(f.fs.entered)
+		<-f.fs.release
+	}
+	return f.File.WriteAt(p, off)
+}
+
+// TestReadersWaitOutInFlightFlushRound: a flush round detaches the buffer
+// under l.mu and writes it outside; a rollback's ReadAt (or a Scan) arriving
+// in between must wait for the round, not read the segment's preallocated
+// zeros as a corrupt record.
+func TestReadersWaitOutInFlightFlushRound(t *testing.T) {
+	for _, read := range []struct {
+		name string
+		fn   func(l *Log, lsn LSN) (itime.TID, error)
+	}{
+		{"ReadAt", func(l *Log, lsn LSN) (itime.TID, error) {
+			r, err := l.ReadAt(lsn)
+			if err != nil {
+				return 0, err
+			}
+			return r.TID, nil
+		}},
+		{"Scan", func(l *Log, lsn LSN) (tid itime.TID, err error) {
+			err = l.Scan(lsn, func(r *Record) error { tid = r.TID; return nil })
+			return tid, err
+		}},
+	} {
+		t.Run(read.name, func(t *testing.T) {
+			fs := &gatedFS{FS: vfs.NewSim(1), entered: make(chan struct{}), release: make(chan struct{})}
+			l, err := OpenFS(fs, "wal.log")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			lsn, err := l.Append(commitRec(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs.armed.Store(true)
+			flushed := make(chan error, 1)
+			go func() { flushed <- l.Flush() }()
+			<-fs.entered // the round owns the bytes; the file still reads zeros
+
+			type result struct {
+				tid itime.TID
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				tid, err := read.fn(l, lsn)
+				done <- result{tid, err}
+			}()
+			select {
+			case res := <-done:
+				close(fs.release) // or the deferred Close queues behind the round forever
+				t.Fatalf("read returned (tid %d, err %v) while the flush round still held the bytes", res.tid, res.err)
+			case <-time.After(20 * time.Millisecond):
+			}
+			close(fs.release)
+			if err := <-flushed; err != nil {
+				t.Fatal(err)
+			}
+			if res := <-done; res.err != nil || res.tid != 7 {
+				t.Fatalf("read after the round = (tid %d, err %v), want tid 7", res.tid, res.err)
+			}
+		})
 	}
 }

@@ -75,6 +75,9 @@ type Log struct {
 	ckpt     LSN    // last checkpoint record, 0 if none
 	fail     error  // sticky first write-path failure; nil while healthy
 	closed   bool
+	// flushing is set while a flush round holds captured bytes it has not
+	// finished writing: they are neither in buf nor readable from the files.
+	flushing bool
 	// ingest marks a replica's log copy (set by the first IngestChunk).
 	// Ordinary appends are refused: the copy must stay byte-identical to a
 	// prefix of the primary's stream.
@@ -396,14 +399,19 @@ func (l *Log) failedErrLocked() error {
 	return fmt.Errorf("%w (first failure: %v)", ErrFailed, l.fail)
 }
 
-// setFail latches the first write-path failure. Every later Append, Flush,
-// SyncTo and SetCheckpoint returns ErrFailed until the log is reopened.
-func (l *Log) setFail(err error) {
+// setFail ends a flush round that could not write or sync its bytes and
+// latches the first such failure. Every later Append, Flush, SyncTo and
+// SetCheckpoint returns ErrFailed until the log is reopened. The round's
+// captured bytes are lost, so readers stop waiting for them (flushing); what
+// earlier rounds wrote stays readable for undo.
+func (l *Log) setFail(err error) error {
 	l.mu.Lock()
+	l.flushing = false
 	if l.fail == nil {
 		l.fail = err
 	}
 	l.mu.Unlock()
+	return err
 }
 
 // Failed returns the sticky first write-path failure, nil while healthy.
@@ -584,12 +592,12 @@ func (l *Log) flushRoundLocked() error {
 	segs := l.segs
 	l.buf = nil
 	l.bufStart = end
+	l.flushing = len(buf) > 0
 	l.mu.Unlock()
 
 	touched, err := writeRange(segs, buf, start)
 	if err != nil {
-		l.setFail(err)
-		return err
+		return l.setFail(err)
 	}
 	nsyncs := 0
 	if !l.NoSync && len(touched) > 0 {
@@ -599,21 +607,35 @@ func (l *Log) flushRoundLocked() error {
 		for _, seg := range touched {
 			if err := seg.f.Sync(); err != nil {
 				obs.IOError("sync", vfs.ErrClass(err))
-				err = fmt.Errorf("wal: sync %s: %w", seg.path, err)
-				l.setFail(err)
-				return err
+				return l.setFail(fmt.Errorf("wal: sync %s: %w", seg.path, err))
 			}
 			nsyncs++
 		}
 		obsFsyncLat.ObserveSince(syncStart)
 	}
 	l.mu.Lock()
+	l.flushing = false
 	l.syncs += uint64(nsyncs)
 	if end > l.flushed {
 		l.flushed = end
 	}
 	l.mu.Unlock()
 	return nil
+}
+
+// settle makes every appended byte readable from the segment files: pending
+// appends are flushed, and a flush round in flight on another goroutine —
+// which has detached the buffer but may not have written it yet — is waited
+// out (Flush queues behind it on flushMu). With nothing pending and no round
+// in flight it costs one mutex round trip and no I/O.
+func (l *Log) settle() error {
+	l.mu.Lock()
+	unwritten := len(l.buf) > 0 || l.flushing
+	l.mu.Unlock()
+	if !unwritten {
+		return nil
+	}
+	return l.Flush()
 }
 
 // FlushTo ensures the record at lsn (and everything before it) is durable.
@@ -831,13 +853,8 @@ func (l *Log) FirstRetained() LSN {
 // ReadAt reads the single record at lsn. Pending appends are flushed first
 // so undo can read what it just wrote.
 func (l *Log) ReadAt(lsn LSN) (*Record, error) {
-	l.mu.Lock()
-	pending := len(l.buf) > 0
-	l.mu.Unlock()
-	if pending {
-		if err := l.Flush(); err != nil {
-			return nil, err
-		}
+	if err := l.settle(); err != nil {
+		return nil, err
 	}
 	l.mu.Lock()
 	if l.closed {
@@ -885,13 +902,8 @@ func (l *Log) ReadAt(lsn LSN) (*Record, error) {
 // retained record is clamped to it. fn returning an error stops the scan and
 // returns that error.
 func (l *Log) Scan(from LSN, fn func(*Record) error) error {
-	l.mu.Lock()
-	pending := len(l.buf) > 0
-	l.mu.Unlock()
-	if pending {
-		if err := l.Flush(); err != nil {
-			return err
-		}
+	if err := l.settle(); err != nil {
+		return err
 	}
 	l.mu.Lock()
 	if l.closed {

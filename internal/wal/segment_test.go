@@ -253,6 +253,14 @@ func TestSyncFailureLatchesLogFailed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	durable, err := l.Append(fillRecord(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	flushed := l.FlushedLSN()
 	if _, err := l.Append(fillRecord(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +276,19 @@ func TestSyncFailureLatchesLogFailed(t *testing.T) {
 	if err := l.Flush(); !errors.Is(err, ErrFailed) {
 		t.Fatalf("flush after failed fsync = %v, want ErrFailed", err)
 	}
-	if err := l.SyncTo(FirstLSN); !errors.Is(err, ErrFailed) {
+	if err := l.SyncTo(flushed); !errors.Is(err, ErrFailed) {
 		t.Fatalf("SyncTo after failed fsync = %v, want ErrFailed", err)
 	}
-	if got := l.FlushedLSN(); got != FirstLSN {
-		t.Fatalf("flushed advanced to %d past a failed fsync", got)
+	if got := l.FlushedLSN(); got != flushed {
+		t.Fatalf("flushed advanced from %d to %d past a failed fsync", flushed, got)
+	}
+	// Undo on a failed log still reads what earlier rounds made durable.
+	if _, err := l.ReadAt(durable); err != nil {
+		t.Fatalf("ReadAt of a durable record on a failed log: %v", err)
+	}
+	stop := errors.New("stop")
+	if err := l.Scan(durable, func(*Record) error { return stop }); err != stop {
+		t.Fatalf("Scan from a durable record on a failed log: %v", err)
 	}
 }
 

@@ -240,7 +240,11 @@ func runIsolationCheck(t *testing.T, db *DB, seed int64) {
 				if opErr != nil {
 					// Write conflict (FCW) or lock timeout/deadlock: abort.
 					x.conflict = errors.Is(opErr, ErrWriteConflict)
-					tx.Rollback()
+					if err := tx.Rollback(); err != nil {
+						// A failed rollback strands a pending version.
+						t.Errorf("g%d.t%d rollback after %v: %v", g, ti, opErr, err)
+						return
+					}
 					record(x)
 					continue
 				}

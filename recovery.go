@@ -329,6 +329,12 @@ func (db *DB) recover() error {
 		return err
 	}
 
+	// Redo republished every durable commit, so the visibility watermark
+	// starts at the last issued timestamp. Set before undo: a page split
+	// during undo takes its time boundary from the watermark.
+	last := db.seq.Last()
+	db.visible.Store(&last)
+
 	// Adopt the redo trees so undo (and later opens) share them.
 	db.mu.Lock()
 	for id, t := range a.trees {
