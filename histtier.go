@@ -29,8 +29,10 @@ package immortaldb
 // tier already installed stays readable.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"sort"
 	"time"
 
 	"immortaldb/internal/hist"
@@ -41,13 +43,13 @@ import (
 	"immortaldb/internal/wal"
 )
 
-const (
-	// histRunTarget caps one run file's (approximate, pre-compression) size.
-	histRunTarget = 4 << 20
-	// histFanout is the number of same-level runs that triggers a merge into
-	// the next level.
-	histFanout = 4
-)
+// histRunTarget caps one run file's (approximate, pre-compression) size. A
+// variable only so a test can build many-run tiers from little data.
+var histRunTarget = 4 << 20
+
+// histFanout is the number of same-level runs that triggers a merge into the
+// next level.
+const histFanout = 4
 
 // ErrTieredOff reports CompactHistory on a database opened without
 // Options.TieredHistory.
@@ -62,36 +64,20 @@ type treeHist struct {
 	tableID uint32
 }
 
-func coldVersion(v hist.Version) tsb.ColdVersion {
-	return tsb.ColdVersion{Value: v.Value, TS: v.TS, Stub: v.Stub}
-}
-
 func (h *treeHist) Lookup(key []byte, ts itime.Timestamp) (tsb.ColdVersion, bool, error) {
-	v, ok, err := h.db.hist.Lookup(h.tableID, key, ts)
-	return coldVersion(v), ok, err
+	return h.db.hist.Lookup(h.tableID, key, ts)
 }
 
 func (h *treeHist) Newest(key []byte) (tsb.ColdVersion, bool, error) {
-	v, ok, err := h.db.hist.Newest(h.tableID, key)
-	return coldVersion(v), ok, err
+	return h.db.hist.Newest(h.tableID, key)
 }
 
 func (h *treeHist) KeyHistory(key []byte) ([]tsb.ColdVersion, error) {
-	vs, err := h.db.hist.KeyHistory(h.tableID, key)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]tsb.ColdVersion, len(vs))
-	for i, v := range vs {
-		out[i] = coldVersion(v)
-	}
-	return out, nil
+	return h.db.hist.KeyHistory(h.tableID, key)
 }
 
 func (h *treeHist) ScanAsOf(lo, hi []byte, ts itime.Timestamp, fn func(key []byte, v tsb.ColdVersion) bool) error {
-	return h.db.hist.ScanAsOf(h.tableID, lo, hi, ts, func(key []byte, v hist.Version) bool {
-		return fn(key, coldVersion(v))
-	})
+	return h.db.hist.ScanAsOf(h.tableID, lo, hi, ts, fn)
 }
 
 // kickCompactor nudges the background compactor after a time split. Called
@@ -376,10 +362,35 @@ func (db *DB) retentionHorizon() itime.Timestamp {
 	return h
 }
 
-// compactRuns repeatedly merges the lowest level holding histFanout or more
-// runs into one (or more) next-level runs until no level is that wide, then —
-// with a retention horizon set — runs a whole-table sweep so expired versions
-// are vacuumed even when no fanout merge triggers. Each merge is its own
+// wideLevel reports whether merging runs — all of one level — can leave
+// fewer of them. A merge writes its output as key-ordered chunks of
+// histRunTarget each, so histFanout full-size runs come out as histFanout
+// runs again: runs that already are such a sequence (no two share more than
+// a border key) are left alone, or a level of them would be re-merged into
+// the next level, and that one into the next, without end.
+func wideLevel(runs []hist.RunMeta) bool {
+	if len(runs) < histFanout {
+		return false
+	}
+	runs = append([]hist.RunMeta(nil), runs...) // the caller merges them in manifest order
+	sort.Slice(runs, func(i, j int) bool {
+		if c := bytes.Compare(runs[i].MinKey, runs[j].MinKey); c != 0 {
+			return c < 0
+		}
+		return bytes.Compare(runs[i].MaxKey, runs[j].MaxKey) < 0
+	})
+	for i := 1; i < len(runs); i++ {
+		if bytes.Compare(runs[i].MinKey, runs[i-1].MaxKey) < 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// compactRuns repeatedly merges the lowest wide level (see wideLevel) into
+// one (or more) next-level runs until no level is wide, then — with a
+// retention horizon set — runs a whole-table sweep so expired versions are
+// vacuumed even when no fanout merge triggers. Each merge is its own
 // manifest flip, so a crash mid-way loses at most the in-progress merge's
 // work, never installed state.
 func (db *DB) compactRuns(tid uint32) error {
@@ -393,11 +404,12 @@ func (db *DB) compactRuns(tid uint32) error {
 		for _, r := range m.Runs {
 			byLevel[r.Level] = append(byLevel[r.Level], r)
 		}
+		// Each merge empties the lowest wide level into the next, so the
+		// lowest wide level only rises and the loop ends.
 		level, found := uint8(0), false
-		for l := 0; l < 256; l++ {
-			if len(byLevel[uint8(l)]) >= histFanout {
+		for l := 0; l < 255 && !found; l++ {
+			if wideLevel(byLevel[uint8(l)]) {
 				level, found = uint8(l), true
-				break
 			}
 		}
 		if !found {

@@ -318,71 +318,121 @@ func parseRunFooter(tail []byte, size int64) ([]blockRef, error) {
 	return refs, nil
 }
 
-// decodeBlock decodes one block (header + payload) into entries.
-func decodeBlock(b []byte) ([]Entry, error) {
+// blockCursor is the one decoder of the block format: it walks a block's
+// prefix/delta encoding in place, one entry per next call, allocating nothing
+// once its key buffer has grown to the longest key. key is that reusable
+// buffer and val aliases the block, so both are valid only until the next
+// call of next or reset; a reader copies out the versions it returns.
+type blockCursor struct {
+	rest []byte // undecoded remainder of the payload
+	left uint64 // entries not yet decoded
+	wall int64  // wall tick of the current entry, the base of the next delta
+
+	key  []byte
+	val  []byte
+	ts   itime.Timestamp
+	stub bool
+}
+
+// reset points the cursor before the first entry of block b (header +
+// payload) after verifying its length and checksum.
+func (c *blockCursor) reset(b []byte) error {
 	if len(b) < blockHdrLen {
-		return nil, fmt.Errorf("%w block: short", ErrCorrupt)
+		return fmt.Errorf("%w block: short", ErrCorrupt)
 	}
 	plen := int(binary.BigEndian.Uint32(b[0:]))
 	if plen < 0 || plen > len(b)-blockHdrLen || plen > maxBlockBytes {
-		return nil, fmt.Errorf("%w block: length %d", ErrCorrupt, plen)
+		return fmt.Errorf("%w block: length %d", ErrCorrupt, plen)
 	}
 	payload := b[blockHdrLen : blockHdrLen+plen]
 	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(b[4:]) {
-		return nil, fmt.Errorf("%w block: checksum", ErrCorrupt)
+		return fmt.Errorf("%w block: checksum", ErrCorrupt)
 	}
 	count, n := binary.Uvarint(payload)
 	if n <= 0 || count > uint64(len(payload)) {
-		return nil, fmt.Errorf("%w block: entry count", ErrCorrupt)
+		return fmt.Errorf("%w block: entry count", ErrCorrupt)
 	}
-	payload = payload[n:]
-	entries := make([]Entry, 0, count)
-	var prevKey []byte
-	var prevWall int64
-	for i := uint64(0); i < count; i++ {
-		shared, n := binary.Uvarint(payload)
-		if n <= 0 || shared > uint64(len(prevKey)) {
-			return nil, fmt.Errorf("%w block: shared prefix", ErrCorrupt)
+	c.rest, c.left, c.wall = payload[n:], count, 0
+	c.key, c.val = c.key[:0], nil
+	return nil
+}
+
+// next decodes the following entry into the cursor; ok=false means the block
+// is exhausted.
+func (c *blockCursor) next() (ok bool, err error) {
+	if c.left == 0 {
+		return false, nil
+	}
+	p := c.rest
+	shared, n := binary.Uvarint(p)
+	if n <= 0 || shared > uint64(len(c.key)) {
+		return false, fmt.Errorf("%w block: shared prefix", ErrCorrupt)
+	}
+	p = p[n:]
+	slen, n := binary.Uvarint(p)
+	if n <= 0 || slen > uint64(len(p[n:])) {
+		return false, fmt.Errorf("%w block: suffix length", ErrCorrupt)
+	}
+	c.key = append(c.key[:shared], p[n:n+int(slen)]...)
+	p = p[n+int(slen):]
+	if len(p) < 1 {
+		return false, fmt.Errorf("%w block: flags", ErrCorrupt)
+	}
+	c.stub = p[0]&1 != 0
+	p = p[1:]
+	wallDelta, n := binary.Varint(p)
+	if n <= 0 {
+		return false, fmt.Errorf("%w block: wall delta", ErrCorrupt)
+	}
+	p = p[n:]
+	seq32, n := binary.Uvarint(p)
+	if n <= 0 || seq32 > 1<<32-1 {
+		return false, fmt.Errorf("%w block: seq", ErrCorrupt)
+	}
+	p = p[n:]
+	vlen, n := binary.Uvarint(p)
+	if n <= 0 || vlen > uint64(len(p[n:])) {
+		return false, fmt.Errorf("%w block: value length", ErrCorrupt)
+	}
+	c.val = p[n : n+int(vlen)]
+	c.rest = p[n+int(vlen):]
+	c.wall += wallDelta
+	c.ts = itime.Timestamp{Wall: c.wall, Seq: uint32(seq32)}
+	c.left--
+	return true, nil
+}
+
+// seek advances to the first following entry whose key is >= key; ok=false
+// means the block holds none.
+func (c *blockCursor) seek(key []byte) (ok bool, err error) {
+	for {
+		if ok, err = c.next(); !ok || bytes.Compare(c.key, key) >= 0 {
+			return ok, err
 		}
-		payload = payload[n:]
-		slen, n := binary.Uvarint(payload)
-		if n <= 0 || slen > uint64(len(payload[n:])) {
-			return nil, fmt.Errorf("%w block: suffix length", ErrCorrupt)
+	}
+}
+
+// appendBlock materialises block b (header + payload) onto entries, copying
+// every key and value out of the block.
+func (c *blockCursor) appendBlock(entries []Entry, b []byte) ([]Entry, error) {
+	if err := c.reset(b); err != nil {
+		return nil, err
+	}
+	for {
+		ok, err := c.next()
+		if err != nil {
+			return nil, err
 		}
-		key := make([]byte, 0, shared+slen)
-		key = append(key, prevKey[:shared]...)
-		key = append(key, payload[n:n+int(slen)]...)
-		payload = payload[n+int(slen):]
-		if len(payload) < 1 {
-			return nil, fmt.Errorf("%w block: flags", ErrCorrupt)
+		if !ok {
+			return entries, nil
 		}
-		flags := payload[0]
-		payload = payload[1:]
-		wallDelta, n := binary.Varint(payload)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w block: wall delta", ErrCorrupt)
-		}
-		payload = payload[n:]
-		seq32, n := binary.Uvarint(payload)
-		if n <= 0 || seq32 > 1<<32-1 {
-			return nil, fmt.Errorf("%w block: seq", ErrCorrupt)
-		}
-		payload = payload[n:]
-		vlen, n := binary.Uvarint(payload)
-		if n <= 0 || vlen > uint64(len(payload[n:])) {
-			return nil, fmt.Errorf("%w block: value length", ErrCorrupt)
-		}
-		val := append([]byte(nil), payload[n:n+int(vlen)]...)
-		payload = payload[n+int(vlen):]
 		entries = append(entries, Entry{
-			Key:   key,
-			Value: val,
-			TS:    itime.Timestamp{Wall: prevWall + wallDelta, Seq: uint32(seq32)},
-			Stub:  flags&1 != 0,
+			Key:   append([]byte(nil), c.key...),
+			Value: append([]byte(nil), c.val...),
+			TS:    c.ts,
+			Stub:  c.stub,
 		})
-		prevKey, prevWall = key, prevWall+wallDelta
 	}
-	return entries, nil
 }
 
 // DecodeRun decodes a complete run image back into its entries, validating
@@ -397,15 +447,18 @@ func DecodeRun(data []byte) (tableID uint32, seq uint64, level uint8, entries []
 	if err != nil {
 		return 0, 0, 0, nil, err
 	}
+	// The header's count is unverified until the end; an entry encodes to at
+	// least six bytes, which bounds what a corrupt count can make us reserve.
+	entries = make([]Entry, 0, min(count, uint64(len(data))/6))
+	var c blockCursor
 	for _, r := range refs {
 		if r.off+int64(r.length) > int64(len(data)) {
 			return 0, 0, 0, nil, fmt.Errorf("%w run: block past end", ErrCorrupt)
 		}
-		es, err := decodeBlock(data[r.off : r.off+int64(r.length)])
+		entries, err = c.appendBlock(entries, data[r.off:r.off+int64(r.length)])
 		if err != nil {
 			return 0, 0, 0, nil, err
 		}
-		entries = append(entries, es...)
 	}
 	if uint64(len(entries)) != count {
 		return 0, 0, 0, nil, fmt.Errorf("%w run: entry count %d != header %d", ErrCorrupt, len(entries), count)

@@ -1,15 +1,12 @@
 package hist
 
 import (
-	"bytes"
 	"fmt"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
-	"immortaldb/internal/itime"
 	"immortaldb/internal/obs"
 	"immortaldb/internal/storage/vfs"
 )
@@ -19,6 +16,12 @@ var (
 		"Point lookups that consulted the cold run tier.")
 	obsColdHits = obs.NewCounter("hist_cold_hits_total",
 		"Cold-tier lookups that found a version.")
+	obsRunsProbed = obs.NewCounter("hist_runs_probed_total",
+		"Runs a cold read opened an iterator on after the key and time bounds of their manifest entry let them through.")
+	obsBlocksRead = obs.NewCounter("hist_blocks_read_total",
+		"Run blocks read, checksummed and decoded by cold reads.")
+	obsBlockBytes = obs.NewCounter("hist_block_bytes_read_total",
+		"Bytes of run blocks read by cold reads.")
 	obsRunsWritten = obs.NewCounter("hist_runs_written_total",
 		"Run files written (migration and compaction).")
 	obsRunBytes = obs.NewCounter("hist_run_bytes_written_total",
@@ -174,85 +177,6 @@ func (s *Store) openRun(tid uint32, meta RunMeta) (*runFile, error) {
 		}
 	}
 	return &runFile{meta: meta, f: f, blocks: blocks}, nil
-}
-
-// readBlock reads and decodes block i of r.
-func (r *runFile) readBlock(i int) ([]Entry, error) {
-	ref := r.blocks[i]
-	b := make([]byte, ref.length)
-	if _, err := r.f.ReadAt(b, ref.off); err != nil {
-		return nil, err
-	}
-	return decodeBlock(b)
-}
-
-// candidateBlocks returns the index range [lo, hi) of blocks that may hold
-// keys in [lowKey, highKey]; highKey nil means unbounded.
-func (r *runFile) candidateBlocks(lowKey, highKey []byte) (int, int) {
-	// First block whose firstKey >= lowKey. One key's versions can span
-	// several consecutive blocks (they all carry that firstKey), so the
-	// range must start at the FIRST such block, not the last; the block
-	// before it may also hold lowKey in its tail when the key starts
-	// mid-block.
-	i := sort.Search(len(r.blocks), func(i int) bool {
-		return bytes.Compare(r.blocks[i].firstKey, lowKey) >= 0
-	})
-	if i > 0 {
-		i--
-	}
-	j := len(r.blocks)
-	if highKey != nil {
-		// A block whose firstKey is at or past the exclusive bound holds
-		// only out-of-range keys.
-		j = sort.Search(len(r.blocks), func(j int) bool {
-			return bytes.Compare(r.blocks[j].firstKey, highKey) >= 0
-		})
-	}
-	if j < i {
-		j = i
-	}
-	return i, j
-}
-
-// lookup scans r for the newest version of key with TS <= ts (ts == Max
-// means newest overall). Returns ok=false when the run has no version.
-func (r *runFile) lookup(key []byte, ts itime.Timestamp) (Version, bool, error) {
-	if bytes.Compare(key, r.meta.MinKey) < 0 || bytes.Compare(key, r.meta.MaxKey) > 0 {
-		return Version{}, false, nil
-	}
-	if ts.Less(r.meta.MinTS) {
-		return Version{}, false, nil
-	}
-	lo, hi := r.candidateBlocks(key, nil)
-	var best Version
-	found := false
-	for i := lo; i < hi; i++ {
-		if i > lo && bytes.Compare(r.blocks[i].firstKey, key) > 0 {
-			break
-		}
-		entries, err := r.readBlock(i)
-		if err != nil {
-			return Version{}, false, err
-		}
-		for k := range entries {
-			e := &entries[k]
-			c := bytes.Compare(e.Key, key)
-			if c < 0 {
-				continue
-			}
-			if c > 0 {
-				return best, found, nil
-			}
-			if e.TS.After(ts) {
-				continue
-			}
-			if !found || best.TS.Less(e.TS) {
-				best = Version{Value: e.Value, TS: e.TS, Stub: e.Stub}
-				found = true
-			}
-		}
-	}
-	return best, found, nil
 }
 
 // LoadTable (re)loads a table's tier from disk: it picks the manifest slot
@@ -492,140 +416,6 @@ func (s *Store) RunEntries(tid uint32, seq uint64) ([]Entry, error) {
 	}
 	_, _, _, entries, err := DecodeRun(b)
 	return entries, err
-}
-
-// Lookup returns the newest cold version of key with TS <= ts, across all
-// of the table's runs. ok=false means the cold tier holds no such version —
-// for an exhausted history chain that means the record did not exist at ts.
-func (s *Store) Lookup(tid uint32, key []byte, ts itime.Timestamp) (Version, bool, error) {
-	obsColdLookups.Inc()
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t := s.tables[tid]
-	if t == nil {
-		return Version{}, false, nil
-	}
-	var best Version
-	found := false
-	for _, rf := range t.runs {
-		v, ok, err := rf.lookup(key, ts)
-		if err != nil {
-			return Version{}, false, err
-		}
-		if ok && (!found || best.TS.Less(v.TS)) {
-			best, found = v, true
-		}
-	}
-	if found {
-		obsColdHits.Inc()
-	}
-	return best, found, nil
-}
-
-// Newest returns the newest cold version of key regardless of time.
-func (s *Store) Newest(tid uint32, key []byte) (Version, bool, error) {
-	return s.Lookup(tid, key, itime.Max)
-}
-
-// KeyHistory returns every cold version of key, newest first, with
-// (key, TS) duplicates across runs collapsed.
-func (s *Store) KeyHistory(tid uint32, key []byte) ([]Version, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t := s.tables[tid]
-	if t == nil {
-		return nil, nil
-	}
-	seen := map[itime.Timestamp]bool{}
-	var out []Version
-	for _, rf := range t.runs {
-		if bytes.Compare(key, rf.meta.MinKey) < 0 || bytes.Compare(key, rf.meta.MaxKey) > 0 {
-			continue
-		}
-		lo, hi := rf.candidateBlocks(key, nil)
-		for i := lo; i < hi; i++ {
-			if i > lo && bytes.Compare(rf.blocks[i].firstKey, key) > 0 {
-				break
-			}
-			entries, err := rf.readBlock(i)
-			if err != nil {
-				return nil, err
-			}
-			for k := range entries {
-				e := &entries[k]
-				if !bytes.Equal(e.Key, key) || seen[e.TS] {
-					continue
-				}
-				seen[e.TS] = true
-				out = append(out, Version{Value: e.Value, TS: e.TS, Stub: e.Stub})
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[j].TS.Less(out[i].TS) })
-	return out, nil
-}
-
-// ScanAsOf visits, in key order, the newest version with TS <= ts of every
-// key in [lo, hi) present in the cold tier (nil bounds are open). Delete
-// stubs ARE visited — the caller decides whether absence-at-ts means
-// skip. fn returning false stops the scan.
-func (s *Store) ScanAsOf(tid uint32, lo, hi []byte, ts itime.Timestamp, fn func(key []byte, v Version) bool) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t := s.tables[tid]
-	if t == nil {
-		return nil
-	}
-	best := map[string]Version{}
-	for _, rf := range t.runs {
-		if hi != nil && bytes.Compare(rf.meta.MinKey, hi) >= 0 {
-			continue
-		}
-		if lo != nil && bytes.Compare(rf.meta.MaxKey, lo) < 0 {
-			continue
-		}
-		if ts.Less(rf.meta.MinTS) {
-			continue
-		}
-		var start []byte
-		if lo != nil {
-			start = lo
-		}
-		bLo, bHi := rf.candidateBlocks(start, hi)
-		for i := bLo; i < bHi; i++ {
-			entries, err := rf.readBlock(i)
-			if err != nil {
-				return err
-			}
-			for k := range entries {
-				e := &entries[k]
-				if lo != nil && bytes.Compare(e.Key, lo) < 0 {
-					continue
-				}
-				if hi != nil && bytes.Compare(e.Key, hi) >= 0 {
-					break
-				}
-				if e.TS.After(ts) {
-					continue
-				}
-				cur, ok := best[string(e.Key)]
-				if !ok || cur.TS.Less(e.TS) {
-					best[string(e.Key)] = Version{Value: e.Value, TS: e.TS, Stub: e.Stub}
-				}
-			}
-		}
-	}
-	keys := make([]string, 0, len(best))
-	for k := range best {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn([]byte(k), best[k]) {
-			return nil
-		}
-	}
-	return nil
 }
 
 // Totals reports the live run count and byte total across loaded tables.

@@ -1,16 +1,13 @@
 package tsb
 
 import (
+	"immortaldb/internal/hist"
 	"immortaldb/internal/itime"
 )
 
 // ColdVersion is one record version served from the cold history tier.
 // Cold versions are always stamped — unstamped versions never migrate.
-type ColdVersion struct {
-	Value []byte
-	TS    itime.Timestamp
-	Stub  bool
-}
+type ColdVersion = hist.Version
 
 // HistStore is the tree's view of the cold history tier (implemented by the
 // engine over internal/hist). Every method may be called under the tree's
@@ -31,11 +28,14 @@ type HistStore interface {
 	KeyHistory(key []byte) ([]ColdVersion, error)
 	// ScanAsOf visits the newest cold version with TS <= ts of every key in
 	// [lo, hi) in ascending key order, delete stubs included. fn returning
-	// false stops the scan.
+	// false stops the scan. key is valid only during the call; every
+	// returned value is the caller's.
 	ScanAsOf(lo, hi []byte, ts itime.Timestamp, fn func(key []byte, v ColdVersion) bool) error
 }
 
-// coldResult converts a cold version to a read Result.
+// coldResult converts a cold version to a read Result, copying the key
+// (a scan's key buffer is reused) but not the value, which the cold tier
+// already copied out of its block.
 func coldResult(key []byte, v ColdVersion) Result {
 	return Result{
 		Key:     append([]byte(nil), key...),

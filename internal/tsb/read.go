@@ -308,29 +308,26 @@ func (t *Tree) ScanAsOf(lo, hi []byte, ts itime.Timestamp, self itime.TID, fn fu
 	if err != nil {
 		return err
 	}
-	keys := make([]string, 0, len(results))
-	for k := range results {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if !fn(results[k]) {
+	for i := range results {
+		if !fn(results[i]) {
 			return nil
 		}
 	}
 	return nil
 }
 
-func (t *Tree) collectScan(lo, hi []byte, ts itime.Timestamp, self itime.TID) (map[string]Result, error) {
+// collectScan returns the scan's rows in key order: the rows of the hot
+// pages covering ts merged with one ordered cold scan per run of adjacent
+// cold ranges.
+func (t *Tree) collectScan(lo, hi []byte, ts itime.Timestamp, self itime.TID) ([]Result, error) {
 	// Collect the set of data pages whose region intersects the scan, plus
 	// the key ranges whose history at ts lives only in the cold tier.
 	pages, cold, err := t.pagesForScan(lo, hi, ts)
 	if err != nil {
 		return nil, err
 	}
-	// Replicated spanning versions can surface the same key from two pages;
-	// keep one result per key (the copies are identical by construction).
-	results := make(map[string]Result)
+	var hot []Result
+	ordered := true
 	for _, pid := range pages {
 		lf, err := t.cfg.Pool.Fetch(pid)
 		if err != nil {
@@ -353,12 +350,9 @@ func (t *Tree) collectScan(lo, hi []byte, ts itime.Timestamp, self itime.TID) (m
 			if hi != nil && bytes.Compare(k, hi) >= 0 {
 				continue
 			}
-			if _, seen := results[string(k)]; seen {
-				continue
-			}
-			res := t.lookIn(dp, k, ts, self)
-			if res.Found {
-				results[string(k)] = res
+			if res := t.lookIn(dp, k, ts, self); res.Found {
+				ordered = ordered && (len(hot) == 0 || bytes.Compare(hot[len(hot)-1].Key, res.Key) < 0)
+				hot = append(hot, res)
 			}
 		}
 		if dp.Current {
@@ -366,27 +360,51 @@ func (t *Tree) collectScan(lo, hi []byte, ts itime.Timestamp, self itime.TID) (m
 		}
 		t.cfg.Pool.Release(lf)
 	}
-	// Cold ranges: key partitions whose chain ended before covering ts. No
-	// surviving chain page holds their keys at ts (sibling chains sharing a
-	// suffix converge on the same covering page), so any key already in
-	// results was answered hot and keeps priority; stubs read as absent.
-	if t.cfg.Hist != nil {
-		for _, cr := range cold {
-			err := t.cfg.Hist.ScanAsOf(cr.lo, cr.hi, ts, func(k []byte, v ColdVersion) bool {
-				if _, seen := results[string(k)]; seen {
-					return true
-				}
-				if !v.Stub {
-					results[string(k)] = coldResult(k, v)
-				}
-				return true
-			})
-			if err != nil {
-				return nil, err
+	if !ordered {
+		// Index entries, and so the pages, come in no key order. Replicated
+		// spanning versions can surface the same key from two pages; keep
+		// the first (the copies are identical by construction).
+		sort.SliceStable(hot, func(i, j int) bool { return bytes.Compare(hot[i].Key, hot[j].Key) < 0 })
+		uniq := hot[:1]
+		for _, r := range hot[1:] {
+			if !bytes.Equal(uniq[len(uniq)-1].Key, r.Key) {
+				uniq = append(uniq, r)
 			}
 		}
+		hot = uniq
 	}
-	return results, nil
+	if len(cold) == 0 {
+		return hot, nil
+	}
+	// Cold ranges: key partitions whose chain ended before covering ts. No
+	// surviving chain page holds their keys at ts (sibling chains sharing a
+	// suffix converge on the same covering page), so a key answered hot
+	// keeps priority; stubs read as absent. Adjacent partitions become one
+	// cold scan, so the run blocks at their borders are read once.
+	sort.Slice(cold, func(i, j int) bool {
+		return cold[i].lo == nil || cold[j].lo != nil && bytes.Compare(cold[i].lo, cold[j].lo) < 0
+	})
+	var out []Result
+	h := 0
+	for i := 0; i < len(cold); {
+		cr := cold[i]
+		for i++; i < len(cold) && cr.hi != nil && bytes.Compare(cold[i].lo, cr.hi) <= 0; i++ {
+			cr.hi = cold[i].hi
+		}
+		err := t.cfg.Hist.ScanAsOf(cr.lo, cr.hi, ts, func(k []byte, v ColdVersion) bool {
+			for ; h < len(hot) && bytes.Compare(hot[h].Key, k) < 0; h++ {
+				out = append(out, hot[h])
+			}
+			if !v.Stub && (h == len(hot) || !bytes.Equal(hot[h].Key, k)) {
+				out = append(out, coldResult(k, v))
+			}
+			return true
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return append(out, hot[h:]...), nil
 }
 
 // coldRange is a key range whose as-of-ts versions live in the cold tier.
