@@ -5,23 +5,6 @@
 //	gc         — PTT garbage collection on/off (A3)
 //	threshold  — key-split utilization threshold sweep (A4)
 //	snapshot   — snapshot vs serializable readers under a write stream (S1)
-//	commit     — group-commit vs serial durable-commit throughput (C1),
-//	             also written as JSON rows to -commitout
-//	serve      — wire-protocol vs embedded durable-commit throughput (C2),
-//	             also written as JSON rows to -serveout
-//	obs        — observability instrumentation overhead on durable commits
-//	             (O1), also written as JSON rows to -obsout
-//	repl       — primary-only vs primary+follower durable-commit throughput
-//	             and follower lag (R1), also written as JSON rows to -replout
-//	hist       — tiered history storage: cold-tier storage reduction, AS OF
-//	             latency hot vs cold, commit throughput under the background
-//	             compactor (H1), also written as JSON rows to -histout
-//	failover   — promotion time and client-visible write-unavailability vs
-//	             replication lag (F1), also written as JSON rows to
-//	             -failoverout
-//	overload   — goodput and p99 at 1×/2×/4× offered load with and without
-//	             admission control (O2), also written as JSON rows to
-//	             -overloadout
 //	all        — everything
 //
 // Usage:
@@ -30,7 +13,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -42,13 +24,6 @@ func main() {
 	scale := flag.Float64("scale", 1.0, "workload size multiplier")
 	pageSize := flag.Int("pagesize", 8192, "page size in bytes")
 	seed := flag.Int64("seed", 1, "workload random seed")
-	commitOut := flag.String("commitout", "BENCH_commit.json", "JSON output path for the commit experiment (empty disables)")
-	serveOut := flag.String("serveout", "BENCH_server.json", "JSON output path for the serve experiment (empty disables)")
-	obsOut := flag.String("obsout", "BENCH_obs.json", "JSON output path for the obs-overhead experiment (empty disables)")
-	replOut := flag.String("replout", "BENCH_repl.json", "JSON output path for the replication experiment (empty disables)")
-	histOut := flag.String("histout", "BENCH_hist.json", "JSON output path for the tiered-history experiment (empty disables)")
-	failoverOut := flag.String("failoverout", "BENCH_failover.json", "JSON output path for the failover experiment (empty disables)")
-	overloadOut := flag.String("overloadout", "BENCH_overload.json", "JSON output path for the overload experiment (empty disables)")
 	flag.Parse()
 
 	o := repro.Options{Scale: *scale, PageSize: *pageSize, Seed: *seed}
@@ -133,187 +108,5 @@ func main() {
 			fmt.Printf("%14s %10d %12.1f\n", r.ReaderMode, r.ReadsDone, r.ReadsPerMs)
 		}
 		fmt.Println()
-	}
-
-	if all || run["commit"] {
-		rows, err := repro.RunCommitThroughput(o, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("C1 — Durable commit throughput: group commit vs one fsync per commit")
-		fmt.Printf("%8s %8s %10s %10s %14s\n", "mode", "clients", "commits", "total(s)", "commits/s")
-		for _, r := range rows {
-			fmt.Printf("%8s %8d %10d %10.3f %14.1f\n",
-				r.Mode, r.Clients, r.Commits, r.Seconds, r.CommitsPerSec)
-		}
-		fmt.Println()
-		if *commitOut != "" {
-			blob, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*commitOut, append(blob, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Println("wrote", *commitOut)
-		}
-	}
-
-	if all || run["serve"] {
-		rows, err := repro.RunServerThroughput(o, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("C2 — Durable commit throughput: wire protocol vs embedded")
-		fmt.Printf("%10s %8s %10s %10s %14s\n", "mode", "clients", "commits", "total(s)", "commits/s")
-		for _, r := range rows {
-			fmt.Printf("%10s %8d %10d %10.3f %14.1f\n",
-				r.Mode, r.Clients, r.Commits, r.Seconds, r.CommitsPerSec)
-		}
-		fmt.Println()
-		if *serveOut != "" {
-			blob, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*serveOut, append(blob, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Println("wrote", *serveOut)
-		}
-	}
-
-	if all || run["obs"] {
-		rows, err := repro.RunObsOverhead(o, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("O1 — Observability overhead on durable group commits (runtime-disabled baseline)")
-		fmt.Printf("%8s %8s %10s %10s %14s %10s\n", "mode", "clients", "commits", "total(s)", "commits/s", "overhead")
-		for _, r := range rows {
-			over := ""
-			if r.Mode == "obs-on" {
-				over = fmt.Sprintf("%+.1f%%", r.OverheadPct)
-			}
-			fmt.Printf("%8s %8d %10d %10.3f %14.1f %10s\n",
-				r.Mode, r.Clients, r.Commits, r.Seconds, r.CommitsPerSec, over)
-		}
-		fmt.Println()
-		if *obsOut != "" {
-			blob, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*obsOut, append(blob, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Println("wrote", *obsOut)
-		}
-	}
-
-	if all || run["repl"] {
-		rows, err := repro.RunReplThroughput(o, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("R1 — Durable commit throughput with a follower continuously shipping the log")
-		fmt.Printf("%14s %8s %10s %10s %14s %12s\n", "mode", "clients", "commits", "total(s)", "commits/s", "lag p95(KB)")
-		for _, r := range rows {
-			lag := ""
-			if r.Mode == "with-follower" {
-				lag = fmt.Sprintf("%12.1f", r.LagP95KB)
-			}
-			fmt.Printf("%14s %8d %10d %10.3f %14.1f %12s\n",
-				r.Mode, r.Clients, r.Commits, r.Seconds, r.CommitsPerSec, lag)
-		}
-		fmt.Println()
-		if *replOut != "" {
-			blob, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*replOut, append(blob, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Println("wrote", *replOut)
-		}
-	}
-
-	if all || run["hist"] {
-		rows, err := repro.RunHistAblation(o, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("H1 — Tiered history: cold-run storage, AS OF hot vs cold, compactor impact")
-		fmt.Printf("%18s %8s %10s %10s %14s %12s\n", "mode", "clients", "count", "total(s)", "per-sec/factor", "cold bytes")
-		for _, r := range rows {
-			cold := ""
-			if r.Mode == "storage-reduction" {
-				cold = fmt.Sprintf("%12d", r.ColdBytes)
-			}
-			fmt.Printf("%18s %8d %10d %10.3f %14.1f %12s\n",
-				r.Mode, r.Clients, r.Commits, r.Seconds, r.CommitsPerSec, cold)
-		}
-		fmt.Println()
-		if *histOut != "" {
-			blob, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*histOut, append(blob, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Println("wrote", *histOut)
-		}
-	}
-
-	if all || run["failover"] {
-		rows, err := repro.RunFailoverAblation(o, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("F1 — Promotion time vs replication lag (client-visible write unavailability)")
-		fmt.Printf("%8s %8s %10s %12s %12s %12s\n", "mode", "lag(KB)", "redo(KB)", "promote(ms)", "commit(ms)", "unavail(ms)")
-		for _, r := range rows {
-			fmt.Printf("%8s %8d %10.1f %12.2f %12.2f %12.2f\n",
-				r.Mode, r.Clients, r.RedoKB, r.PromoteMillis, r.FirstCommitMillis, r.UnavailMillis)
-		}
-		fmt.Println()
-		if *failoverOut != "" {
-			blob, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*failoverOut, append(blob, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Println("wrote", *failoverOut)
-		}
-	}
-
-	if all || run["overload"] {
-		rows, err := repro.RunOverloadAblation(o, nil)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("O2 — Goodput and p99 under overload, with and without admission control")
-		fmt.Printf("%8s %6s %9s %9s %8s %9s %8s %14s %10s %12s\n",
-			"mode", "load", "offered", "commits", "shed", "timeouts", "dropped", "goodput/s", "p99(ms)", "deadline(ms)")
-		for _, r := range rows {
-			fmt.Printf("%8s %5dx %9d %9d %8d %9d %8d %14.1f %10.2f %12.2f\n",
-				r.Mode, r.Clients, r.Offered, r.Commits, r.Shed, r.Timeouts, r.Dropped,
-				r.CommitsPerSec, r.P99Millis, r.DeadlineMillis)
-		}
-		fmt.Println()
-		if *overloadOut != "" {
-			blob, err := json.MarshalIndent(rows, "", "  ")
-			if err != nil {
-				fail(err)
-			}
-			if err := os.WriteFile(*overloadOut, append(blob, '\n'), 0o644); err != nil {
-				fail(err)
-			}
-			fmt.Println("wrote", *overloadOut)
-		}
 	}
 }

@@ -18,6 +18,7 @@ import (
 	"immortaldb/internal/itime"
 	"immortaldb/internal/obs"
 	"immortaldb/internal/storage/vfs"
+	"immortaldb/internal/workload"
 )
 
 // tieredOpts force frequent time splits (small pages) and deterministic
@@ -188,6 +189,46 @@ func TestTieredHistoryAsOfBoundaries(t *testing.T) {
 	verifyModel(t, db3, tbl3, m, "untiered-reopen")
 	if err := db3.CompactHistory(); !errors.Is(err, ErrTieredOff) {
 		t.Fatalf("CompactHistory without the option = %v, want ErrTieredOff", err)
+	}
+}
+
+// minStorageReduction is the factor the compressed cold tier must beat: the
+// versions of a migrated history page must occupy at most a third of the
+// page bytes they were freed from.
+const minStorageReduction = 3.0
+
+// TestTieredHistoryStorageReduction holds the cold tier's compression floor
+// on the moving-objects stream (1,200 single-record commits over 30 objects,
+// 2 KB pages, a 64-frame pool). Byte counts are deterministic for a given
+// seed, so this is a count, not a timing.
+func TestTieredHistoryStorageReduction(t *testing.T) {
+	db, _ := openTestDB(t, tieredOpts(func(o *Options) {
+		o.PageSize = 2048
+		o.CacheFrames = 64
+	}))
+	tbl, _ := db.CreateTable("objects", TableOptions{Immortal: true})
+	ops, err := workload.New(workload.Config{Seed: 1}).Stream(30, 1200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, op := range ops {
+		set(t, db, tbl, string(workload.Key(op.OID)), string(workload.Value(op.Pos)))
+	}
+	if err := db.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactHistory(); err != nil {
+		t.Fatal(err)
+	}
+	st := db.Stats()
+	if st.PagesMigrated == 0 || st.HistBytes == 0 {
+		t.Fatalf("migration moved nothing (pages=%d cold bytes=%d)", st.PagesMigrated, st.HistBytes)
+	}
+	red := float64(st.PagesMigrated*uint64(db.opts.PageSize)) / float64(st.HistBytes)
+	t.Logf("storage reduction %.3fx (%d pages -> %d cold bytes)", red, st.PagesMigrated, st.HistBytes)
+	if red < minStorageReduction {
+		t.Fatalf("storage reduction %.3fx below the %gx floor (%d pages -> %d cold bytes)",
+			red, minStorageReduction, st.PagesMigrated, st.HistBytes)
 	}
 }
 

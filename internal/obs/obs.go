@@ -10,8 +10,8 @@
 // operations behind a single enabled check; building with the `obsoff` tag
 // compiles every recording call down to a dead branch on a false constant,
 // giving a true no-op baseline for overhead measurement (the runtime switch
-// SetEnabled approximates the same baseline in one binary — see the "obs"
-// experiment in internal/repro).
+// SetEnabled approximates the same baseline in one binary; EXPERIMENTS.md
+// keeps the last overhead numbers measured that way).
 //
 // Metrics are process-global, like Prometheus default-registry collectors: a
 // process serving several DB instances aggregates them. Counters and

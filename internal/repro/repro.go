@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"immortaldb"
@@ -126,6 +127,52 @@ func ApplyStream(e *Env, ops []workload.Op) ([]immortaldb.Timestamp, error) {
 		times = append(times, e.DB.Now())
 	}
 	return times, nil
+}
+
+// CommitStorm runs about total single-record transactions split evenly across
+// clients on disjoint key ranges (no lock conflicts: the measurement is the
+// commit pipeline, not the lock manager) and returns the wall-clock seconds
+// and the exact commit count.
+func CommitStorm(e *Env, clients, total int) (float64, int, error) {
+	per := total / clients
+	if per == 0 {
+		per = 1
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, clients)
+	start := time.Now()
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			base := uint16(c * 64)
+			for i := 0; i < per; i++ {
+				tx, err := e.DB.Begin(immortaldb.Serializable)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				pos := workload.Point{X: int32(i), Y: int32(c)}
+				if err := tx.Set(e.Table, workload.Key(base+uint16(i%64)), workload.Value(pos)); err != nil {
+					tx.Rollback()
+					errs[c] = err
+					return
+				}
+				if err := tx.Commit(); err != nil {
+					errs[c] = err
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+	sec := time.Since(start).Seconds()
+	for _, err := range errs {
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	return sec, per * clients, nil
 }
 
 // ---------------------------------------------------------------- Figure 5

@@ -166,33 +166,3 @@ func TestRunSnapshotBench(t *testing.T) {
 		}
 	}
 }
-
-func TestRunHistAblation(t *testing.T) {
-	// Scale 0.1 keeps ~1200 txns over ~30 keys: enough versions that time
-	// splits produce migratable history pages at 2 KB pages.
-	rows, err := RunHistAblation(Options{Scale: 0.1, PageSize: 2048, Seed: 1}, []int{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byMode := map[string]HistRow{}
-	for _, r := range rows {
-		byMode[r.Mode] = r
-	}
-	for _, mode := range []string{"asof-hot", "asof-cold", "storage-reduction", "hist-commit"} {
-		r, ok := byMode[mode]
-		if !ok {
-			t.Fatalf("mode %q missing from %+v", mode, rows)
-		}
-		if r.CommitsPerSec <= 0 {
-			t.Fatalf("mode %q has no measurement: %+v", mode, r)
-		}
-	}
-	// The acceptance floor: migrated pages must shed at least 2/3 of their
-	// bytes on the way into the compressed runs. Byte counts are
-	// deterministic for a given seed and scale, so this is not a timing
-	// assertion.
-	if red := byMode["storage-reduction"]; red.CommitsPerSec < MinStorageReduction {
-		t.Fatalf("storage reduction %.2fx below the %.0fx floor (%d pages -> %d cold bytes)",
-			red.CommitsPerSec, MinStorageReduction, red.PagesMigrated, red.ColdBytes)
-	}
-}

@@ -238,7 +238,14 @@ func TestSimnetPartitionAndHeal(t *testing.T) {
 // TestSimnetProfileDrawsReplay runs the same chaotic traffic twice under one
 // seed and expects identical fault events — the per-connection plans must be
 // pure functions of (seed, label, dial sequence).
+//
+// Both ends exchange whole two-byte messages, as the wire protocol exchanges
+// whole frames. A killed write delivers a strict prefix and then resets the
+// pair; an end that acted on that prefix could write, and so draw from the
+// pair's rng, before the reset lands. The read deadline is many pump steps
+// long, so only a dropped message ever times out, never a slow echo.
 func TestSimnetProfileDrawsReplay(t *testing.T) {
+	const msg = "hi"
 	run := func() []string {
 		n, tl := newTestNet(t, 42)
 		stop := tl.StartPump(100*time.Microsecond, 50*time.Millisecond)
@@ -254,13 +261,12 @@ func TestSimnetProfileDrawsReplay(t *testing.T) {
 					return
 				}
 				go func(c net.Conn) {
-					buf := make([]byte, 8)
+					buf := make([]byte, len(msg))
 					for {
-						k, err := c.Read(buf)
-						if err != nil {
+						if _, err := io.ReadFull(c, buf); err != nil {
 							return
 						}
-						if _, err := c.Write(buf[:k]); err != nil {
+						if _, err := c.Write(buf); err != nil {
 							return
 						}
 					}
@@ -275,11 +281,11 @@ func TestSimnetProfileDrawsReplay(t *testing.T) {
 					continue
 				}
 				for j := 0; j < 4; j++ {
-					if _, err := c.Write([]byte("hi")); err != nil {
+					if _, err := c.Write([]byte(msg)); err != nil {
 						break
 					}
-					c.SetReadDeadline(n.Timeline().Now().Add(time.Second))
-					if _, err := c.Read(buf8()); err != nil {
+					c.SetReadDeadline(n.Timeline().Now().Add(5 * time.Second))
+					if _, err := io.ReadFull(c, make([]byte, len(msg))); err != nil {
 						break
 					}
 				}
@@ -302,5 +308,3 @@ func TestSimnetProfileDrawsReplay(t *testing.T) {
 		}
 	}
 }
-
-func buf8() []byte { return make([]byte, 8) }
