@@ -14,6 +14,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"immortaldb/internal/itime"
 	"immortaldb/internal/obs"
 	"immortaldb/internal/storage/disk"
 	"immortaldb/internal/storage/page"
@@ -22,10 +23,12 @@ import (
 // Observability: cache effectiveness counters and the latency of writing a
 // dirty page out (pre-flush stamping + WAL force + physical write).
 var (
-	obsHits      = obs.NewCounter("immortaldb_buffer_hits_total", "Buffer-pool fetches served from cache.")
-	obsMisses    = obs.NewCounter("immortaldb_buffer_misses_total", "Buffer-pool fetches that read from disk.")
-	obsEvictions = obs.NewCounter("immortaldb_buffer_evictions_total", "Frames evicted to make room.")
-	obsFlushLat  = obs.NewHistogram("immortaldb_buffer_flush_seconds",
+	obsHits        = obs.NewCounter("immortaldb_buffer_hits_total", "Buffer-pool fetches served from cache.")
+	obsMisses      = obs.NewCounter("immortaldb_buffer_misses_total", "Buffer-pool fetches that read from disk.")
+	obsEvictions   = obs.NewCounter("immortaldb_buffer_evictions_total", "Frames evicted to make room.")
+	obsHeaderReads = obs.NewCounter("immortaldb_buffer_header_reads_total",
+		"Pages a history-chain walk read from disk for their header alone, neither decoded nor installed.")
+	obsFlushLat = obs.NewHistogram("immortaldb_buffer_flush_seconds",
 		"Latency of flushing one dirty page (lazy stamping, write-ahead force, encode, write).", obs.LatencyBuckets)
 )
 
@@ -119,6 +122,15 @@ type Pool struct {
 
 	readOnly atomic.Bool
 
+	// scratch receives the pages Hop reads for their header alone. It is
+	// guarded by mu and handed to the page when a hop stops at it.
+	scratch []byte
+	// heads remembers the header fields of pages Hop read from disk and did
+	// not install. An entry goes stale exactly when a cached frame would:
+	// a page's bytes on disk change only through a frame installed here or
+	// after a Drop, and both forget the page's entry. Guarded by mu.
+	heads map[page.ID]pageHead
+
 	hits, misses, evictions, flushes uint64
 }
 
@@ -132,8 +144,20 @@ func New(pager *disk.Pager, capacity int) *Pool {
 		cap:    capacity,
 		frames: make(map[page.ID]*Frame, capacity),
 		lru:    list.New(),
+		heads:  make(map[page.ID]pageHead),
 	}
 }
+
+// pageHead is what a history-chain walk needs from a page it passes.
+type pageHead struct {
+	startTS itime.Timestamp
+	hist    page.ID
+}
+
+// headsPerFrame bounds the remembered headers at this many per frame —
+// about 50 bytes each against a frame's 8 KB and more, so they cost a few
+// percent of the pool's memory. Reaching the bound forgets them all.
+const headsPerFrame = 8
 
 // PageSize returns the underlying page size.
 func (p *Pool) PageSize() int { return p.pager.PageSize() }
@@ -172,6 +196,70 @@ func (p *Pool) Fetch(id page.ID) (*Frame, error) {
 	return p.installLocked(id, pg)
 }
 
+// Hop takes one step down a history chain: it reads data page id's split
+// time and history pointer and, when stop(startTS) reports that the walk has
+// arrived, returns the page pinned exactly as Fetch would. Otherwise f is nil
+// and next is the page's history pointer.
+//
+// A page the walk only passes through is never pinned, decoded or
+// installed. A resident one answers from its decoded copy (a hit that
+// touches the LRU); a non-resident one is read, checksum verified, into a
+// scratch buffer the pool owns and counts as a header read, not a miss, and
+// its two fields are remembered so the next walk past it reads nothing. A
+// non-resident page the walk stops at is decoded from the bytes already read
+// and installed (a miss), so a walk reads each page at most once.
+func (p *Pool) Hop(id page.ID, stop func(startTS itime.Timestamp) bool) (next page.ID, f *Frame, err error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if f, ok := p.frames[id]; ok {
+		p.hits++
+		obsHits.Inc()
+		p.lru.MoveToFront(f.elem)
+		dp, ok := f.pg.(*page.DataPage)
+		if !ok {
+			return 0, nil, fmt.Errorf("buffer: hop to non-data page %d", id)
+		}
+		if !stop(dp.StartTS) {
+			return dp.Hist, nil, nil
+		}
+		f.pins++
+		return 0, f, nil
+	}
+	if h, ok := p.heads[id]; ok && !stop(h.startTS) {
+		return h.hist, nil, nil
+	}
+	if p.scratch == nil {
+		p.scratch = make([]byte, p.pager.PageSize())
+	}
+	if err := p.pager.ReadPageInto(id, p.scratch); err != nil {
+		return 0, nil, err
+	}
+	startTS, hist, err := page.DataHeader(p.scratch)
+	if err != nil {
+		return 0, nil, fmt.Errorf("buffer: decode page %d header: %w", id, err)
+	}
+	if !stop(startTS) {
+		obsHeaderReads.Inc()
+		if len(p.heads) >= headsPerFrame*p.cap {
+			clear(p.heads)
+		}
+		p.heads[id] = pageHead{startTS: startTS, hist: hist}
+		return hist, nil, nil
+	}
+	p.misses++
+	obsMisses.Inc()
+	// The decoded page aliases the bytes it was decoded from, so the scratch
+	// buffer becomes the page's own and the next hop allocates another.
+	buf := p.scratch
+	p.scratch = nil
+	dp, err := page.UnmarshalData(buf)
+	if err != nil {
+		return 0, nil, fmt.Errorf("buffer: decode page %d: %w", id, err)
+	}
+	f, err = p.installLocked(id, dp)
+	return 0, f, err
+}
+
 // NewPage installs a freshly created decoded page (whose ID the caller
 // already allocated from the pager) into the pool, pinned and dirty.
 func (p *Pool) NewPage(id page.ID, pg any, recLSN uint64) (*Frame, error) {
@@ -196,6 +284,7 @@ func (p *Pool) installLocked(id page.ID, pg any) (*Frame, error) {
 	f := &Frame{id: id, pg: pg, pins: 1}
 	f.elem = p.lru.PushFront(f)
 	p.frames[id] = f
+	delete(p.heads, id)
 	return f, nil
 }
 
@@ -395,10 +484,11 @@ func (p *Pool) DirtyPages() map[page.ID]uint64 {
 }
 
 // Drop removes a page from the cache without writing it, for pages being
-// freed. The page must be unpinned.
+// freed or about to be written around the pool. The page must be unpinned.
 func (p *Pool) Drop(id page.ID) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	delete(p.heads, id)
 	f, ok := p.frames[id]
 	if !ok {
 		return nil

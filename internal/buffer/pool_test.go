@@ -245,3 +245,113 @@ func TestReleaseUnpinnedPanics(t *testing.T) {
 	}()
 	p.Release(f)
 }
+
+// TestHopReadsHeadersAndInstallsOnlyTheStop walks a six-page chain through
+// a cold pool: the pages passed through are read once each for their header
+// and never cached as frames, the page the walk stops at is read once,
+// decoded from those bytes and cached pinned, and a second walk reads
+// nothing.
+func TestHopReadsHeadersAndInstallsOnlyTheStop(t *testing.T) {
+	p, pg := newPool(t, 8)
+	var prev page.ID
+	for i := 0; i < 6; i++ {
+		f := newDataFrame(t, p, pg)
+		dp := f.Data()
+		dp.StartTS, dp.Hist = itime.Timestamp{Wall: int64(10 * i)}, prev
+		prev = f.ID()
+		p.Release(f)
+	}
+	if err := p.FlushAll(false); err != nil {
+		t.Fatal(err)
+	}
+	cold := New(pg, 8)
+	stop := func(startTS itime.Timestamp) bool { return startTS.Wall <= 15 }
+	walk := func() (hops int, at page.ID, reads uint64) {
+		reads0, _, _ := pg.Stats()
+		var f *Frame
+		for id := prev; f == nil; hops++ {
+			var err error
+			if id, f, err = cold.Hop(id, stop); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cold.Release(f)
+		reads1, _, _ := pg.Stats()
+		return hops, f.ID(), reads1 - reads0
+	}
+
+	if hops, at, reads := walk(); hops != 5 || at != prev-4 || reads != 5 {
+		t.Fatalf("cold walk: stopped at page %d after %d hops and %d pager reads, want %d, 5, 5", at, hops, reads, prev-4)
+	}
+	if hits, misses, _, _ := cold.Stats(); hits != 0 || misses != 1 || cold.Len() != 1 {
+		t.Fatalf("cold walk: hits=%d misses=%d cached=%d, want 0, 1, 1", hits, misses, cold.Len())
+	}
+	if hops, at, reads := walk(); hops != 5 || at != prev-4 || reads != 0 {
+		t.Fatalf("second walk: stopped at page %d after %d hops and %d pager reads, want %d, 5, 0", at, hops, reads, prev-4)
+	}
+
+	// A page the walk passes that is cached as a frame answers from it and
+	// stays unpinned; installing it forgets its remembered header.
+	g, err := cold.Fetch(prev - 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold.Release(g)
+	if _, ok := cold.heads[prev-2]; ok {
+		t.Fatal("installing a page kept its remembered header")
+	}
+	if hops, _, _ := walk(); hops != 5 {
+		t.Fatalf("third walk took %d hops", hops)
+	}
+	if err := cold.Drop(prev - 2); err != nil {
+		t.Fatalf("a page the walk passed through stayed pinned: %v", err)
+	}
+
+	// Redo writes a page around the pool after a Drop, which forgets the
+	// remembered header: the walk sees the new split time.
+	img, err := pg.ReadPage(prev - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp, err := page.UnmarshalData(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dp.StartTS = itime.Timestamp{Wall: 5}
+	buf := make([]byte, pg.PageSize())
+	if err := dp.Marshal(buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := cold.Drop(prev - 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := pg.WritePage(prev-1, buf); err != nil {
+		t.Fatal(err)
+	}
+	if hops, at, _ := walk(); hops != 2 || at != prev-1 {
+		t.Fatalf("walk after a rewrite stopped at page %d after %d hops, want %d after 2", at, hops, prev-1)
+	}
+}
+
+func TestHopRejectsNonDataPages(t *testing.T) {
+	p, pg := newPool(t, 4)
+	id, err := pg.Allocate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := p.NewPage(id, page.NewIndex(id, pg.PageSize(), 1), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Release(f)
+	never := func(itime.Timestamp) bool { return false }
+	if _, _, err := p.Hop(id, never); err == nil {
+		t.Fatal("hop to a cached index page succeeded")
+	}
+	if err := p.FlushAll(false); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := New(pg, 4).Hop(id, never); !errors.Is(err, page.ErrCorrupt) {
+		t.Fatalf("hop to an index page on disk: %v, want ErrCorrupt", err)
+	}
+}

@@ -289,29 +289,41 @@ func (p *Pager) MetaCapacity() int {
 // ReadPage reads page id into a freshly allocated buffer, verifying its
 // checksum.
 func (p *Pager) ReadPage(id page.ID) ([]byte, error) {
+	buf := make([]byte, p.pageSize)
+	if err := p.ReadPageInto(id, buf); err != nil {
+		return nil, err
+	}
+	return buf, nil
+}
+
+// ReadPageInto reads page id into buf, which must be exactly one page long,
+// verifying its checksum. buf's contents are undefined after an error.
+func (p *Pager) ReadPageInto(id page.ID, buf []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
-		return nil, ErrClosed
+		return ErrClosed
+	}
+	if len(buf) != p.pageSize {
+		return fmt.Errorf("disk: read of page %d into %d bytes, page is %d", id, len(buf), p.pageSize)
 	}
 	if id < metaPages {
-		return nil, fmt.Errorf("disk: page %d is a meta page", id)
+		return fmt.Errorf("disk: page %d is a meta page", id)
 	}
 	if uint64(id) >= p.numPages {
-		return nil, fmt.Errorf("%w: page %d of %d", ErrOutOfFile, id, p.numPages)
+		return fmt.Errorf("%w: page %d of %d", ErrOutOfFile, id, p.numPages)
 	}
-	buf := make([]byte, p.pageSize)
 	if _, err := p.f.ReadAt(buf, int64(id)*int64(p.pageSize)); err != nil {
 		if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: page %d", ErrOutOfFile, id)
+			return fmt.Errorf("%w: page %d", ErrOutOfFile, id)
 		}
-		return nil, fmt.Errorf("disk: read page %d: %w", id, err)
+		return fmt.Errorf("disk: read page %d: %w", id, err)
 	}
 	if got, want := crc32.Checksum(buf[4:], crcTable), binary.BigEndian.Uint32(buf[page.ChecksumOff:]); got != want {
-		return nil, fmt.Errorf("%w: page %d", ErrChecksum, id)
+		return fmt.Errorf("%w: page %d", ErrChecksum, id)
 	}
 	p.reads++
-	return buf, nil
+	return nil
 }
 
 // WritePage writes buf (exactly one page) to page id, stamping its checksum.

@@ -7,8 +7,9 @@ import (
 	"immortaldb/internal/itime"
 )
 
-// buildBenchPage fills a default-size page with stamped version chains.
-func buildBenchPage(b *testing.B) *DataPage {
+// buildBenchPage fills a default-size page with stamped version chains: 60
+// keys, 200 versions.
+func buildBenchPage(b testing.TB) *DataPage {
 	b.Helper()
 	p := NewData(1, DefaultSize)
 	i := 0
@@ -60,7 +61,10 @@ func BenchmarkVersionAsOf(b *testing.B) {
 
 func BenchmarkMarshalUnmarshal(b *testing.B) {
 	p := buildBenchPage(b)
+	// Reusing buf is safe only because each decoded page, which aliases it,
+	// is dropped before the next Marshal overwrites it.
 	buf := make([]byte, DefaultSize)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := p.Marshal(buf); err != nil {

@@ -108,12 +108,15 @@ func (d *decoder) ts() itime.Timestamp {
 	return v
 }
 
+// bytesN returns the next n bytes as a sub-slice of the buffer being decoded,
+// not a copy: the buffer belongs to the decoded page for its lifetime. The
+// capacity is capped at n, so an append to the result reallocates instead of
+// writing into the bytes that follow it.
 func (d *decoder) bytesN(n int) []byte {
 	if !d.need(n) {
 		return nil
 	}
-	out := make([]byte, n)
-	copy(out, d.buf[d.off:])
+	out := d.buf[d.off : d.off+n : d.off+n]
 	d.off += n
 	return out
 }
@@ -194,70 +197,145 @@ func (p *DataPage) Marshal(buf []byte) error {
 	return nil
 }
 
-// UnmarshalData parses a data page from a raw page buffer.
-func UnmarshalData(buf []byte) (*DataPage, error) {
+// dataHeader is the fixed header of a data page image.
+type dataHeader struct {
+	id             ID
+	flags          uint8
+	hist           ID
+	lsn            uint64
+	startTS, endTS itime.Timestamp
+	nrecs, nslots  int
+}
+
+// parseDataHeader checks that buf holds a data page and decodes its fixed
+// header. It is the one header parser behind UnmarshalData, DataHeader and
+// ImageLSN.
+func parseDataHeader(buf []byte) (dataHeader, error) {
 	if TypeOf(buf) != TypeData {
-		return nil, fmt.Errorf("%w: not a data page (type %v)", ErrCorrupt, TypeOf(buf))
+		return dataHeader{}, fmt.Errorf("%w: not a data page (type %v)", ErrCorrupt, TypeOf(buf))
 	}
-	d := &decoder{buf: buf, off: PayloadOff}
-	p := &DataPage{Size: len(buf), cachedUsed: -1}
-	p.ID = ID(d.u64())
-	flags := d.u8()
-	p.Current = flags&dataFlagCurrent != 0
-	p.NoTail = flags&dataFlagNoTail != 0
-	p.Hist = ID(d.u64())
-	p.LSN = d.u64()
-	p.StartTS = d.ts()
-	p.EndTS = d.ts()
-	nrecs := int(d.u16())
-	nslots := int(d.u16())
+	d := decoder{buf: buf, off: PayloadOff}
+	h := dataHeader{
+		id:      ID(d.u64()),
+		flags:   d.u8(),
+		hist:    ID(d.u64()),
+		lsn:     d.u64(),
+		startTS: d.ts(),
+		endTS:   d.ts(),
+		nrecs:   int(d.u16()),
+		nslots:  int(d.u16()),
+	}
+	return h, d.err
+}
+
+// DataHeader returns the split time and history pointer of a data page image
+// without decoding its records: all a history-chain walk needs from a page
+// it only passes through.
+func DataHeader(buf []byte) (startTS itime.Timestamp, hist ID, err error) {
+	h, err := parseDataHeader(buf)
+	return h.startTS, h.hist, err
+}
+
+// ImageLSN returns the page LSN from the fixed header of a data or index
+// page image. ok is false for any other page type or a truncated header.
+func ImageLSN(buf []byte) (lsn uint64, ok bool) {
+	switch TypeOf(buf) {
+	case TypeData:
+		h, err := parseDataHeader(buf)
+		return h.lsn, err == nil
+	case TypeIndex:
+		h, err := parseIndexHeader(buf)
+		return h.lsn, err == nil
+	default:
+		return 0, false
+	}
+}
+
+// UnmarshalData parses a data page from a raw page buffer. Every key, value
+// and fence key of the result is a sub-slice of buf, so buf belongs to the
+// page from here on: the caller must never write to it or reuse it.
+func UnmarshalData(buf []byte) (*DataPage, error) {
+	h, err := parseDataHeader(buf)
+	if err != nil {
+		return nil, err
+	}
+	p := &DataPage{
+		ID:      h.id,
+		LSN:     h.lsn,
+		Size:    len(buf),
+		Current: h.flags&dataFlagCurrent != 0,
+		NoTail:  h.flags&dataFlagNoTail != 0,
+		Hist:    h.hist,
+		StartTS: h.startTS,
+		EndTS:   h.endTS,
+	}
+	d := decoder{buf: buf, off: PayloadOff + fixedDataHeaderLen}
 	p.LowKey = d.key()
 	p.HighKey = d.key()
 	if d.err != nil {
 		return nil, d.err
 	}
+	nrecs, nslots := h.nrecs, h.nslots
 	if nrecs > len(buf) || nslots > nrecs {
 		return nil, fmt.Errorf("%w: implausible counts nrecs=%d nslots=%d", ErrCorrupt, nrecs, nslots)
 	}
+	tail := TailLen
+	if p.NoTail {
+		tail = 0
+	}
+	// Each record costs two bounds checks: one for its fixed header, one for
+	// its key, value and tail together.
+	off := d.off
 	p.Recs = make([]Version, nrecs)
-	for i := 0; i < nrecs; i++ {
-		klen := int(d.u16())
-		vlen := int(d.u16())
-		rf := d.u8()
+	for i := range p.Recs {
+		if off+recHeaderLen > len(buf) {
+			return nil, fmt.Errorf("%w: truncated at offset %d (+%d)", ErrCorrupt, off, recHeaderLen)
+		}
+		klen := int(binary.BigEndian.Uint16(buf[off:]))
+		vlen := int(binary.BigEndian.Uint16(buf[off+2:]))
+		rf := buf[off+4]
+		off += recHeaderLen
+		if n := klen + vlen + tail; off+n > len(buf) {
+			return nil, fmt.Errorf("%w: truncated at offset %d (+%d)", ErrCorrupt, off, n)
+		}
 		v := &p.Recs[i]
-		v.Key = d.bytesN(klen)
-		v.Value = d.bytesN(vlen)
+		v.Key = buf[off : off+klen : off+klen]
+		off += klen
+		v.Value = buf[off : off+vlen : off+vlen]
+		off += vlen
 		v.Stub = rf&recFlagStub != 0
-		v.Stamped = rf&recFlagStamped != 0
 		if p.NoTail {
-			v.Prev = NoPrev
-			v.Stamped = true
+			v.Stamped, v.Prev = true, NoPrev
+			continue
+		}
+		v.Stamped = rf&recFlagStamped != 0
+		v.Prev = int16(binary.BigEndian.Uint16(buf[off:]))
+		ttime := binary.BigEndian.Uint64(buf[off+2:])
+		if v.Stamped {
+			v.TS = itime.Timestamp{Wall: int64(ttime), Seq: binary.BigEndian.Uint32(buf[off+10:])}
 		} else {
-			v.Prev = int16(d.u16())
-			ttime := d.u64()
-			sn := d.u32()
-			if v.Stamped {
-				v.TS = itime.Timestamp{Wall: int64(ttime), Seq: sn}
-			} else {
-				v.TID = itime.TID(ttime)
-			}
+			v.TID = itime.TID(ttime)
 		}
-		if d.err != nil {
-			return nil, d.err
-		}
+		off += TailLen
 		if v.Prev != NoPrev && (v.Prev < 0 || int(v.Prev) >= nrecs) {
 			return nil, fmt.Errorf("%w: version pointer %d out of range", ErrCorrupt, v.Prev)
 		}
 	}
+	if off+slotLen*nslots > len(buf) {
+		return nil, fmt.Errorf("%w: truncated at offset %d (+%d)", ErrCorrupt, off, slotLen*nslots)
+	}
 	p.Slots = make([]int16, nslots)
-	for i := 0; i < nslots; i++ {
-		s := int16(d.u16())
+	for i := range p.Slots {
+		s := int16(binary.BigEndian.Uint16(buf[off:]))
 		if s < 0 || int(s) >= nrecs {
 			return nil, fmt.Errorf("%w: slot %d out of range", ErrCorrupt, s)
 		}
 		p.Slots[i] = s
+		off += slotLen
 	}
-	return p, d.err
+	// The bytes consumed are exactly the marshalled size Used reports.
+	p.cachedUsed = off
+	return p, nil
 }
 
 // Marshal serializes the index page into buf (full page size).
@@ -288,23 +366,39 @@ func (p *IndexPage) Marshal(buf []byte) error {
 	return nil
 }
 
-// UnmarshalIndex parses an index page from a raw page buffer.
-func UnmarshalIndex(buf []byte) (*IndexPage, error) {
+// indexHeader is the fixed header of an index page image.
+type indexHeader struct {
+	id       ID
+	lsn      uint64
+	level    uint16
+	nentries int
+}
+
+// parseIndexHeader checks that buf holds an index page and decodes its fixed
+// header, for UnmarshalIndex and ImageLSN.
+func parseIndexHeader(buf []byte) (indexHeader, error) {
 	if TypeOf(buf) != TypeIndex {
-		return nil, fmt.Errorf("%w: not an index page (type %v)", ErrCorrupt, TypeOf(buf))
+		return indexHeader{}, fmt.Errorf("%w: not an index page (type %v)", ErrCorrupt, TypeOf(buf))
 	}
-	d := &decoder{buf: buf, off: PayloadOff}
-	p := &IndexPage{Size: len(buf)}
-	p.ID = ID(d.u64())
-	p.LSN = d.u64()
-	p.Level = d.u16()
-	n := int(d.u16())
-	if d.err != nil {
-		return nil, d.err
+	d := decoder{buf: buf, off: PayloadOff}
+	h := indexHeader{id: ID(d.u64()), lsn: d.u64(), level: d.u16(), nentries: int(d.u16())}
+	return h, d.err
+}
+
+// UnmarshalIndex parses an index page from a raw page buffer. Its fence keys
+// are sub-slices of buf, which belongs to the page from here on, as with
+// UnmarshalData.
+func UnmarshalIndex(buf []byte) (*IndexPage, error) {
+	h, err := parseIndexHeader(buf)
+	if err != nil {
+		return nil, err
 	}
+	n := h.nentries
 	if n > len(buf) {
 		return nil, fmt.Errorf("%w: implausible entry count %d", ErrCorrupt, n)
 	}
+	p := &IndexPage{ID: h.id, LSN: h.lsn, Size: len(buf), Level: h.level}
+	d := decoder{buf: buf, off: PayloadOff + fixedIndexHeaderLen}
 	p.Entries = make([]IndexEntry, n)
 	for i := 0; i < n; i++ {
 		ent := &p.Entries[i]
@@ -349,7 +443,8 @@ func (p *BlobPage) Marshal(buf []byte) error {
 	return nil
 }
 
-// UnmarshalBlob parses a blob page from a raw page buffer.
+// UnmarshalBlob parses a blob page from a raw page buffer. Its Data is a
+// sub-slice of buf, which belongs to the page from here on.
 func UnmarshalBlob(buf []byte) (*BlobPage, error) {
 	if TypeOf(buf) != TypeBlob {
 		return nil, fmt.Errorf("%w: not a blob page (type %v)", ErrCorrupt, TypeOf(buf))
@@ -368,6 +463,13 @@ func UnmarshalBlob(buf []byte) (*BlobPage, error) {
 
 // Unmarshal dispatches on the page type and returns the decoded page as one
 // of *DataPage, *IndexPage or *BlobPage.
+//
+// Ownership: the decoded page aliases buf instead of copying out of it, so
+// buf belongs to the page for the page's lifetime. It must never be pooled,
+// reused or written to, and no code writes into a decoded key or value —
+// mutators replace a value with a fresh slice, and every aliased slice has
+// its capacity capped at its length so an append cannot spill into the next
+// record.
 func Unmarshal(buf []byte) (any, error) {
 	switch TypeOf(buf) {
 	case TypeData:

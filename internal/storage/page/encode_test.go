@@ -2,6 +2,7 @@ package page
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -192,6 +193,91 @@ func TestIndexPageRoundTrip(t *testing.T) {
 	}
 	if got.Used() != p.Used() {
 		t.Fatalf("Used changed: %d -> %d", p.Used(), got.Used())
+	}
+}
+
+// TestDecodeAllocs gates decode allocations on full default-size pages: the
+// page, its record or entry slice and its slot slice, whatever the number of
+// records. Before keys and values aliased the decode buffer, the 200-record
+// data page took 403 allocations (2·nrecs+3) and the 143-entry index page
+// 288 (2·nentries+2).
+func TestDecodeAllocs(t *testing.T) {
+	dbuf := make([]byte, DefaultSize)
+	if err := buildBenchPage(t).Marshal(dbuf); err != nil {
+		t.Fatal(err)
+	}
+	ip := NewIndex(3, DefaultSize, 1)
+	for i := 0; ; i++ {
+		e := IndexEntry{R: Rect{LowKey: key(i), HighKey: key(i + 1), HighTS: itime.Max}, Child: ID(10 + i), Leaf: true}
+		if !ip.CanFit(e) {
+			break
+		}
+		ip.Add(e)
+	}
+	ibuf := make([]byte, DefaultSize)
+	if err := ip.Marshal(ibuf); err != nil {
+		t.Fatal(err)
+	}
+	var nrecs, nentries int
+	if n := testing.AllocsPerRun(50, func() {
+		p, err := UnmarshalData(dbuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nrecs = len(p.Recs)
+	}); n > 3 {
+		t.Errorf("UnmarshalData of a %d-record page: %.0f allocations, want <= 3", nrecs, n)
+	}
+	if n := testing.AllocsPerRun(50, func() {
+		p, err := UnmarshalIndex(ibuf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nentries = len(p.Entries)
+	}); n > 3 {
+		t.Errorf("UnmarshalIndex of a %d-entry page: %.0f allocations, want <= 3", nentries, n)
+	}
+	if nrecs != 200 || nentries != 143 {
+		t.Fatalf("pages hold %d records and %d entries; the comment above assumes 200 and 143", nrecs, nentries)
+	}
+}
+
+// TestHeaderReadersAgreeWithDecode checks DataHeader and ImageLSN against a
+// full decode, and that both refuse what they cannot parse.
+func TestHeaderReadersAgreeWithDecode(t *testing.T) {
+	p := richDataPage(t)
+	buf := make([]byte, DefaultSize)
+	if err := p.Marshal(buf); err != nil {
+		t.Fatal(err)
+	}
+	start, hist, err := DataHeader(buf)
+	if err != nil || start != p.StartTS || hist != p.Hist {
+		t.Fatalf("DataHeader = (%v, %d, %v), want (%v, %d, nil)", start, hist, err, p.StartTS, p.Hist)
+	}
+	if lsn, ok := ImageLSN(buf); !ok || lsn != p.LSN {
+		t.Fatalf("ImageLSN of a data page = (%d, %v), want (%d, true)", lsn, ok, p.LSN)
+	}
+	if _, _, err := DataHeader(buf[:PayloadOff+fixedDataHeaderLen-1]); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DataHeader of a truncated header: %v, want ErrCorrupt", err)
+	}
+	if _, ok := ImageLSN(buf[:PayloadOff+fixedDataHeaderLen-1]); ok {
+		t.Fatal("ImageLSN accepted a truncated data header")
+	}
+
+	ip := NewIndex(4, DefaultSize, 1)
+	ip.LSN = 123
+	if err := ip.Marshal(buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DataHeader(buf); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("DataHeader of an index page: %v, want ErrCorrupt", err)
+	}
+	if lsn, ok := ImageLSN(buf); !ok || lsn != 123 {
+		t.Fatalf("ImageLSN of an index page = (%d, %v), want (123, true)", lsn, ok)
+	}
+	buf[TypeOff] = byte(TypeFree)
+	if _, ok := ImageLSN(buf); ok {
+		t.Fatal("ImageLSN accepted a free page")
 	}
 }
 

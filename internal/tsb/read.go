@@ -163,31 +163,34 @@ func (t *Tree) readViaChain(key []byte, ts itime.Timestamp, self itime.TID) (Res
 	// "We check the current page's split time. If as of time is later than
 	// split time, the version we want is in the current page. Otherwise we
 	// follow the page chain" (Section 4.2).
-	for ts.Less(dp.StartTS) {
-		hist := dp.Hist
+	if ts.Less(dp.StartTS) {
+		id := dp.Hist
 		t.cfg.Pool.Release(lf)
-		if hist == 0 {
-			// The chain ends here without covering ts: either before the
-			// beginning of history, or the older pages have migrated to the
-			// cold tier.
-			return t.coldRead(key, ts)
+		for lf = nil; lf == nil; hops++ {
+			if id == 0 {
+				// The chain ends here without covering ts: either before the
+				// beginning of history, or the older pages have migrated to
+				// the cold tier.
+				return t.coldRead(key, ts)
+			}
+			if id, lf, err = t.hop(id, ts); err != nil {
+				return Result{}, err
+			}
 		}
-		lf, err = t.cfg.Pool.Fetch(hist)
-		if err != nil {
-			return Result{}, err
-		}
-		t.chainHops.Add(1)
-		obsChainHopsAll.Inc()
-		hops++
 		dp = lf.Data()
-		if dp == nil {
-			t.cfg.Pool.Release(lf)
-			return Result{}, fmt.Errorf("tsb: history chain hit non-data page %d", hist)
-		}
 	}
 	res := t.lookInLatched(lf, dp, key, ts, self)
 	t.cfg.Pool.Release(lf)
 	return res, nil
+}
+
+// hop takes one step down a history chain towards the page covering ts. If
+// id is that page it comes back pinned; otherwise only id's header was read
+// and next is its history pointer.
+func (t *Tree) hop(id page.ID, ts itime.Timestamp) (next page.ID, f *buffer.Frame, err error) {
+	t.chainHops.Add(1)
+	obsChainHopsAll.Inc()
+	return t.cfg.Pool.Hop(id, func(startTS itime.Timestamp) bool { return !ts.Less(startTS) })
 }
 
 // lookIn finds the visible version of key in dp at ts, honouring the
@@ -465,41 +468,43 @@ func (t *Tree) pagesForScan(lo, hi []byte, ts itime.Timestamp) ([]page.ID, []col
 		return nil, nil, err
 	}
 	for _, cid := range currents {
-		id := cid
+		f, err := t.cfg.Pool.Fetch(cid)
+		if err != nil {
+			return nil, nil, err
+		}
+		dp := f.Data()
+		if dp == nil {
+			t.cfg.Pool.Release(f)
+			return nil, nil, fmt.Errorf("tsb: chain hit non-data page %d", cid)
+		}
 		// The current page's fences bound the partition this chain serves;
 		// clipped against the scan bounds they become the cold range if the
 		// chain ends uncovered.
-		var partLo, partHi []byte
-		for id != 0 {
-			f, err := t.cfg.Pool.Fetch(id)
+		partLo, partHi := clipLo(dp.LowKey, lo), clipHi(dp.HighKey, hi)
+		covers, id := !ts.Less(dp.StartTS), dp.Hist
+		t.cfg.Pool.Release(f)
+		if covers {
+			add(cid)
+			continue
+		}
+		// Past the current page only headers are read, up to the page
+		// covering ts, which the pool decodes and caches for collectScan. A
+		// page already seen covers ts: a sibling chain sharing this suffix
+		// got there first.
+		for id != 0 && !seen[id] {
+			next, hf, err := t.hop(id, ts)
 			if err != nil {
 				return nil, nil, err
 			}
-			dp := f.Data()
-			if dp == nil {
-				t.cfg.Pool.Release(f)
-				return nil, nil, fmt.Errorf("tsb: chain hit non-data page %d", id)
-			}
-			if id == cid {
-				partLo = clipLo(dp.LowKey, lo)
-				partHi = clipHi(dp.HighKey, hi)
-			}
-			covers := !ts.Less(dp.StartTS)
-			next := dp.Hist
-			if !seen[id] && id != cid {
-				t.chainHops.Add(1)
-				obsChainHopsAll.Inc()
-			}
-			if covers {
+			if hf != nil {
+				t.cfg.Pool.Release(hf)
 				add(id)
-				t.cfg.Pool.Release(f)
 				break
 			}
-			t.cfg.Pool.Release(f)
 			id = next
-			if id == 0 && t.cfg.Hist != nil {
-				cold = append(cold, coldRange{lo: partLo, hi: partHi})
-			}
+		}
+		if id == 0 && t.cfg.Hist != nil {
+			cold = append(cold, coldRange{lo: partLo, hi: partHi})
 		}
 	}
 	return out, cold, nil

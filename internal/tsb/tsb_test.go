@@ -61,7 +61,13 @@ type harness struct {
 
 func newHarness(t *testing.T, mode Mode, pageSize int, immortal bool) *harness {
 	t.Helper()
-	pager, err := disk.Open(filepath.Join(t.TempDir(), "db.pages"), pageSize)
+	return newHarnessAt(t, filepath.Join(t.TempDir(), "db.pages"), mode, pageSize, immortal)
+}
+
+// newHarnessAt is newHarness with the page file at path.
+func newHarnessAt(t *testing.T, path string, mode Mode, pageSize int, immortal bool) *harness {
+	t.Helper()
+	pager, err := disk.Open(path, pageSize)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -384,7 +384,7 @@ func (db *DB) redoImage(id page.ID, image []byte, lsn wal.LSN) error {
 	// the image.
 	cur, err := db.pager.ReadPage(id)
 	if err == nil {
-		if cl, ok := imageLSN(cur); ok && cl >= uint64(lsn) {
+		if cl, ok := page.ImageLSN(cur); ok && cl >= uint64(lsn) {
 			return nil
 		}
 	} else if !errors.Is(err, disk.ErrChecksum) && !errors.Is(err, disk.ErrOutOfFile) {
@@ -397,24 +397,4 @@ func (db *DB) redoImage(id page.ID, image []byte, lsn wal.LSN) error {
 	img := make([]byte, db.pager.PageSize())
 	copy(img, image)
 	return db.pager.WritePage(id, img)
-}
-
-// imageLSN extracts the page LSN from a raw page image.
-func imageLSN(buf []byte) (uint64, bool) {
-	switch page.TypeOf(buf) {
-	case page.TypeData:
-		p, err := page.UnmarshalData(buf)
-		if err != nil {
-			return 0, false
-		}
-		return p.LSN, true
-	case page.TypeIndex:
-		p, err := page.UnmarshalIndex(buf)
-		if err != nil {
-			return 0, false
-		}
-		return p.LSN, true
-	default:
-		return 0, false
-	}
 }
