@@ -11,6 +11,18 @@
 // Statements outside Begin auto-commit on a pooled connection. A Tx (or a
 // Session) pins one connection, because the server keeps transaction state
 // per connection.
+//
+// A pinned connection does not send a BEGIN on its own. It answers the BEGIN
+// locally with the Result the server would return and sends it in the same
+// frame as the next statement (wire.MsgExecBatch), so an AS OF read —
+// BEGIN, SELECT, COMMIT — costs two round trips, not three. A BEGIN the
+// server refuses (a replica's horizon, a shutdown drain, an overload shed)
+// therefore surfaces as the error of that next statement, which the server
+// then does not run. An overload shed runs nothing, so the BEGIN stays held
+// and a retry of the statement carries it again. After any other refusal the
+// BEGIN may have failed, so the transaction the caller believes open may not
+// exist: every later statement but ROLLBACK fails with the same error until
+// a ROLLBACK reaches the server.
 package client
 
 import (
@@ -20,6 +32,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -94,6 +107,19 @@ func (o *Options) withDefaults() Options {
 
 // ErrPoolClosed reports use of a closed pool.
 var ErrPoolClosed = errors.New("client: pool closed")
+
+// ErrTxControl reports a BEGIN, COMMIT or ROLLBACK passed to DB.Exec. A
+// pooled connection goes back to the pool after every statement, so a
+// transaction opened there would capture whichever statements next borrow
+// the connection.
+var ErrTxControl = errors.New("client: BEGIN, COMMIT and ROLLBACK need a pinned connection; use DB.Begin or DB.Session")
+
+// Transaction-control statements, recognised by their leading keyword.
+func isBegin(kw string) bool { return strings.EqualFold(kw, "BEGIN") }
+
+func endsTx(kw string) bool {
+	return strings.EqualFold(kw, "COMMIT") || strings.EqualFold(kw, "ROLLBACK")
+}
 
 // RemoteError is a statement error reported by the server. The connection
 // that carried it remains healthy and is returned to the pool. Code is the
@@ -314,7 +340,11 @@ func (d *DB) release(c *wconn, healthy bool) {
 // connection. (Like database/sql's bad-connection retry, this can in
 // principle re-execute a statement the server received just before dying;
 // callers needing exactly-once must make statements idempotent.)
+// Transaction-control statements are refused with ErrTxControl.
 func (d *DB) Exec(ctx context.Context, sql string) (*sqlish.Result, error) {
+	if kw := sqlish.LeadingKeyword(sql); isBegin(kw) || endsTx(kw) {
+		return nil, ErrTxControl
+	}
 	ctx, cancel := d.withRetryBudget(ctx)
 	defer cancel()
 	c, fromIdle, err := d.acquire(ctx)
@@ -447,6 +477,17 @@ type Session struct {
 	d    *DB
 	c    *wconn
 	done bool
+	// held is a BEGIN answered locally and not yet sent; it rides in the
+	// same frame as the next statement.
+	held string
+	// idle means the server session is known to hold no transaction, the one
+	// state in which a BEGIN may be held: only then is the server's answer
+	// to it foreseeable.
+	idle bool
+	// lost is the refusal of a held BEGIN's batch when the BEGIN may be what
+	// failed. Until a ROLLBACK reaches the server, every other statement
+	// fails with it instead of running outside the caller's transaction.
+	lost error
 }
 
 // Session acquires a pinned connection.
@@ -455,34 +496,113 @@ func (d *DB) Session(ctx context.Context) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{d: d, c: c}, nil
+	// A pooled connection never carries a transaction: Tx pools one only
+	// after a clean COMMIT or ROLLBACK, Session.Close never pools, and
+	// DB.Exec refuses transaction control.
+	return &Session{d: d, c: c, idle: true}, nil
 }
 
-// Exec runs one statement on the pinned connection.
+// Exec runs one statement on the pinned connection. A BEGIN is answered
+// locally and sent with the next statement (see the package comment); only
+// a BEGIN the client can see would fail — it does not parse, or its AS OF
+// time does not — goes alone, so its error comes back here.
 func (s *Session) Exec(ctx context.Context, sql string) (*sqlish.Result, error) {
 	if s.done {
 		return nil, ErrPoolClosed
 	}
-	return s.c.exec(ctx, sql)
+	kw := sqlish.LeadingKeyword(sql)
+	if s.lost != nil && !strings.EqualFold(kw, "ROLLBACK") {
+		return nil, s.lost
+	}
+	if isBegin(kw) && s.idle {
+		if res, ok := localBegin(sql); ok {
+			s.held, s.idle = sql, false
+			return res, nil
+		}
+	}
+	var res *sqlish.Result
+	var err error
+	if s.held != "" {
+		res, err = s.c.execBatch(ctx, s.held, sql)
+		s.settleHeld(err)
+	} else {
+		res, err = s.c.exec(ctx, sql)
+		if err == nil || isRemote(err) {
+			s.lost = nil // a ROLLBACK reached the server
+		}
+	}
+	if err == nil {
+		switch {
+		case isBegin(kw):
+			s.idle = false
+		case endsTx(kw):
+			s.idle = true
+		}
+	}
+	return res, err
+}
+
+// settleHeld decides, from the error of the batch that carried the held
+// BEGIN, whether that BEGIN is still to be sent.
+func (s *Session) settleHeld(err error) {
+	re := remoteErr(err)
+	switch {
+	case err != nil && re == nil && !s.c.broken:
+		// The context ended before the frame was written.
+	case re != nil && re.Overloaded():
+		// The gate shed the batch before running any of it.
+	default:
+		// The BEGIN was sent. After a failure the session stays not-idle, so
+		// later BEGINs go eagerly. A refusal with a code the BEGIN itself can
+		// fail with may be the BEGIN's, so the caller's transaction is lost.
+		s.held = ""
+		if re != nil && (re.Retryable() || re.BeyondHorizon() || re.Degraded()) {
+			s.lost = err
+		}
+	}
+}
+
+// localBegin returns the Result the server answers a successful BEGIN with,
+// or false when the statement would fail before reaching the engine.
+func localBegin(sql string) (*sqlish.Result, bool) {
+	st, err := sqlish.Parse(sql)
+	if err != nil {
+		return nil, false
+	}
+	b, ok := st.(sqlish.BeginTran)
+	if !ok {
+		return nil, false
+	}
+	if b.AsOf != "" {
+		if _, err := itime.ParseAsOf(b.AsOf); err != nil {
+			return nil, false
+		}
+	}
+	return sqlish.BeginResult(b), true
 }
 
 // Close returns the pinned connection to the pool. An open server-side
 // transaction is left to the server to roll back when the connection is
 // reused — so Close discards the connection if a transaction may be open.
+// A BEGIN still held is dropped unsent.
 func (s *Session) Close() error {
 	if s.done {
 		return nil
 	}
 	s.done = true
-	// The pool cannot know the server-side transaction state of a pinned
-	// session; recycling a connection with an open transaction would leak
-	// it into the next Exec. Discarding is always safe: the server rolls
-	// back on disconnect.
+	// Discarding is always safe: the server rolls back on disconnect.
 	s.d.release(s.c, false)
 	return nil
 }
 
-// Tx is an explicit transaction pinned to one connection.
+// Tx is an explicit transaction pinned to one connection. Its BEGIN reaches
+// the server with its first statement (or with Commit or Rollback), so that
+// is where a server-side refusal of the BEGIN is reported. After an overload
+// shed the statement may be retried: the BEGIN goes again with it. After a
+// refusal the BEGIN could have caused — a drain, a replica's horizon, a
+// degraded engine — later Exec and Commit calls fail with that same error,
+// and Rollback, which still goes to the server, may report that no
+// transaction is open.
 type Tx struct {
 	s *Session
 }
@@ -498,7 +618,8 @@ func (d *DB) BeginSnapshot(ctx context.Context) (*Tx, error) {
 }
 
 // BeginAsOf opens a read-only transaction over the database as of the given
-// time literal (e.g. "2004-08-12 10:15:20").
+// time literal (e.g. "2004-08-12 10:15:20"). A literal that does not parse
+// fails here; a time past a replica's horizon fails the first Exec.
 func (d *DB) BeginAsOf(ctx context.Context, at string) (*Tx, error) {
 	return d.begin(ctx, fmt.Sprintf("BEGIN TRAN AS OF %q", at))
 }
@@ -620,11 +741,25 @@ func (c *wconn) applyDeadline(ctx context.Context, opTimeout time.Duration) {
 // a canceled/expired context surfaces as a timeout and marks the connection
 // broken (the response would otherwise arrive during someone else's turn).
 func (c *wconn) exec(ctx context.Context, sql string) (*sqlish.Result, error) {
-	payload, err := c.roundTrip(ctx, wire.MsgExec, []byte(sql), wire.MsgResult)
+	return c.execFrame(ctx, wire.MsgExec, []byte(sql))
+}
+
+// execBatch runs statements in order in one round trip; the result is the
+// last statement's, the error the first failing statement's.
+func (c *wconn) execBatch(ctx context.Context, stmts ...string) (*sqlish.Result, error) {
+	return c.execFrame(ctx, wire.MsgExecBatch, wire.AppendExecBatch(nil, stmts...))
+}
+
+func (c *wconn) execFrame(ctx context.Context, typ byte, payload []byte) (*sqlish.Result, error) {
+	resp, err := c.roundTrip(ctx, typ, payload, wire.MsgResult)
 	if err != nil {
 		return nil, err
 	}
-	return sqlish.DecodeResult(payload)
+	res, err := sqlish.DecodeResult(resp)
+	if err != nil {
+		c.broken = true // a reply that does not decode is a protocol error
+	}
+	return res, err
 }
 
 func (c *wconn) ping(ctx context.Context) error {

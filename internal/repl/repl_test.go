@@ -210,10 +210,17 @@ func TestFollowerSyncAndServe(t *testing.T) {
 		t.Fatalf("write on replica: got %v, want read-only-replica error", err)
 	}
 
-	_, err = cli.BeginAsOf(ctx, "2031-01-01 00:00:00")
+	// The client sends the BEGIN with the transaction's first statement, so
+	// that statement carries the replica's refusal.
+	tx, err := cli.BeginAsOf(ctx, "2031-01-01 00:00:00")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = tx.Exec(ctx, "SELECT v FROM kv WHERE id = 1")
 	if !errors.As(err, &re) || !re.BeyondHorizon() {
 		t.Fatalf("future AS OF on replica: got %v, want beyond-horizon error", err)
 	}
+	tx.Rollback(ctx) // reports no open transaction: the BEGIN never ran
 }
 
 // TestFollowerRunStreamsContinuously drives the background Run loop: commits

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"runtime/debug"
+	"strings"
 	"time"
 
 	"immortaldb"
@@ -23,6 +24,9 @@ type conn struct {
 	srv  *Server
 	nc   net.Conn
 	sess *sqlish.Session
+	// version is the protocol version agreed in the handshake; MsgExecBatch
+	// needs 3.
+	version byte
 }
 
 // wakeForDrain pokes a connection blocked in its idle read so the handler
@@ -87,81 +91,38 @@ func (c *conn) serve() {
 		}
 		// A request has started: its frame must arrive, and its response be
 		// written, each within one request timeout. Execution in between is
-		// bounded by the engine's lock timeout rather than preempted.
+		// bounded by the engine's lock timeout rather than preempted, so
+		// every reply path arms its write deadline just before it writes.
 		c.nc.SetReadDeadline(c.srv.now().Add(c.srv.cfg.RequestTimeout))
 		typ, payload, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
-		c.nc.SetWriteDeadline(c.srv.now().Add(c.srv.cfg.RequestTimeout))
-		switch typ {
-		case wire.MsgPing:
+		var werr error
+		switch {
+		case typ == wire.MsgPing:
 			pingStart := obs.Now()
-			if err := wire.WriteFrame(c.nc, wire.MsgPong, nil); err != nil {
-				return
+			c.armWriteDeadline()
+			if werr = wire.WriteFrame(c.nc, wire.MsgPong, nil); werr == nil {
+				obsPingLat.ObserveSince(pingStart)
 			}
-			obsPingLat.ObserveSince(pingStart)
-		case wire.MsgExec:
-			c.srv.requests.Add(1)
-			stmt := string(payload)
-			// The admission gate runs before execution. Requests from a
-			// session holding an open transaction outrank new work (they
-			// bypass the gate entirely — stalling a lock holder behind fresh
-			// arrivals would turn overload into deadlock), and degradation
-			// beats overload: a degraded engine answers for itself with the
-			// terminal CodeDegraded instead of a shed that lies "retry later".
-			var release func()
-			if g := c.srv.gate; g != nil && c.srv.db.Degraded() == nil {
-				pri := admit.PriorityNew
-				if c.sess.InTransaction() {
-					pri = admit.PriorityTxn
-				}
-				rel, aerr := g.Admit(context.Background(), admit.TenantFromStatement(stmt), pri)
-				if aerr != nil {
-					c.srv.errCount.Add(1)
-					c.nc.SetWriteDeadline(c.srv.now().Add(c.srv.cfg.RequestTimeout))
-					if werr := c.srv.writeError(c.nc, aerr); werr != nil {
-						return
-					}
-					break
-				}
-				release = rel
+		case typ == wire.MsgExec:
+			werr = c.exec([]string{string(payload)})
+		case typ == wire.MsgExecBatch && c.version >= 3:
+			stmts, perr := wire.ParseExecBatch(payload)
+			if perr == nil && !beginAndOne(stmts) {
+				perr = errBatchShape
 			}
-			obsInflight.Inc()
-			execStart := obs.Now()
-			span := obs.NewRootSpan("server.exec")
-			res, err := c.sess.Exec(stmt)
-			span.End()
-			c.nc.SetWriteDeadline(c.srv.now().Add(c.srv.cfg.RequestTimeout))
-			if err != nil {
-				c.srv.errCount.Add(1)
-				obsExecLat.ObserveSince(execStart)
-				obsInflight.Dec()
-				werr := c.srv.writeError(c.nc, err)
-				if release != nil {
-					release()
-				}
-				if werr != nil {
-					return
-				}
+			if perr != nil {
+				werr = c.replyError(perr)
 				break
 			}
-			// Decremented before the reply goes out, as on the error branch: a
-			// client holding its reply must never still count as in flight.
-			obsInflight.Dec()
-			werr := wire.WriteFrame(c.nc, wire.MsgResult, res.AppendBinary(nil))
-			obsExecLat.ObserveSince(execStart)
-			if release != nil {
-				release()
-			}
-			if werr != nil {
-				return
-			}
+			werr = c.exec(stmts)
 		default:
-			c.srv.errCount.Add(1)
-			if err := c.srv.writeError(c.nc, errors.New("server: unknown message type")); err != nil {
-				return
-			}
+			werr = c.replyError(errors.New("server: unknown message type"))
+		}
+		if werr != nil {
+			return
 		}
 		// A drained connection hangs up once it is between transactions;
 		// clients see a clean EOF instead of a mid-transaction abort.
@@ -169,6 +130,79 @@ func (c *conn) serve() {
 			return
 		}
 	}
+}
+
+var errBatchShape = errors.New("server: an exec batch must be a BEGIN and one statement")
+
+// beginAndOne reports whether a batch has the one shape the server runs: a
+// BEGIN and one statement. The statement runs only if the BEGIN opens a
+// transaction, so it is inside one, where it would bypass the admission
+// gate anyway; admitting the batch as its BEGIN then meters it exactly as
+// two separate requests. Any longer batch could carry auto-commit
+// statements past the gate on the first statement's tenant.
+func beginAndOne(stmts []string) bool {
+	return len(stmts) == 2 && strings.EqualFold(sqlish.LeadingKeyword(stmts[0]), "BEGIN")
+}
+
+// exec answers one MsgExec or MsgExecBatch request: it is admitted once,
+// runs its statements in order on the session until one fails, and gets one
+// reply — the last statement's result or the failing statement's error. It
+// returns the reply's write error.
+func (c *conn) exec(stmts []string) error {
+	c.srv.requests.Add(1)
+	// The admission gate runs before execution, judging the request by its
+	// first statement. Requests from a session holding an open transaction
+	// outrank new work (they bypass the gate entirely — stalling a lock
+	// holder behind fresh arrivals would turn overload into deadlock), and
+	// degradation beats overload: a degraded engine answers for itself with
+	// the terminal CodeDegraded instead of a shed that lies "retry later".
+	if g := c.srv.gate; g != nil && c.srv.db.Degraded() == nil {
+		pri := admit.PriorityNew
+		if c.sess.InTransaction() {
+			pri = admit.PriorityTxn
+		}
+		release, aerr := g.Admit(context.Background(), admit.TenantFromStatement(stmts[0]), pri)
+		if aerr != nil {
+			return c.replyError(aerr)
+		}
+		defer release()
+	}
+	obsInflight.Inc()
+	execStart := obs.Now()
+	span := obs.NewRootSpan("server.exec")
+	var res *sqlish.Result
+	var err error
+	for _, stmt := range stmts {
+		if res, err = c.sess.Exec(stmt); err != nil {
+			break
+		}
+	}
+	span.End()
+	// Decremented before the reply goes out: a client holding its reply must
+	// never still count as in flight.
+	obsInflight.Dec()
+	if err != nil {
+		werr := c.replyError(err)
+		obsExecLat.ObserveSince(execStart)
+		return werr
+	}
+	c.armWriteDeadline()
+	werr := wire.WriteFrame(c.nc, wire.MsgResult, res.AppendBinary(nil))
+	obsExecLat.ObserveSince(execStart)
+	return werr
+}
+
+// armWriteDeadline bounds the reply about to be written by one request
+// timeout.
+func (c *conn) armWriteDeadline() {
+	c.nc.SetWriteDeadline(c.srv.now().Add(c.srv.cfg.RequestTimeout))
+}
+
+// replyError counts and writes an error reply.
+func (c *conn) replyError(err error) error {
+	c.srv.errCount.Add(1)
+	c.armWriteDeadline()
+	return c.srv.writeError(c.nc, err)
 }
 
 // handshake validates the opening frame within one request timeout. A query
@@ -187,11 +221,11 @@ func (c *conn) handshake(br *bufio.Reader) ([]byte, bool) {
 	if typ != wire.MsgHello {
 		return nil, false
 	}
-	if _, err := wire.CheckHello(payload); err != nil {
+	if c.version, err = wire.CheckHello(payload); err != nil {
 		c.srv.writeError(c.nc, err)
 		return nil, false
 	}
-	if err := wire.WriteFrame(c.nc, wire.MsgHelloOK, []byte{wire.Version}); err != nil {
+	if err := wire.WriteFrame(c.nc, wire.MsgHelloOK, []byte{c.version}); err != nil {
 		return nil, false
 	}
 	c.nc.SetDeadline(time.Time{})

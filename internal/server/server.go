@@ -90,7 +90,8 @@ type Stats struct {
 	Accepted, Refused uint64
 	// ActiveConns is the number of connections currently open.
 	ActiveConns int64
-	// Requests counts statements executed; Errors those answered with an
+	// Requests counts exec requests — one per MsgExec or MsgExecBatch frame,
+	// however many statements it carries; Errors requests answered with an
 	// error frame; Panics connection handlers killed by a panic.
 	Requests, Errors, Panics uint64
 	// Admitted and Shed mirror the admission gate's counters (zero when the

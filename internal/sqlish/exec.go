@@ -121,10 +121,6 @@ func (s *Session) execBegin(st BeginTran) (*Result, error) {
 	switch {
 	case st.AsOf != "":
 		s.tx, err = s.db.BeginAsOfString(st.AsOf)
-		if err != nil {
-			return nil, err
-		}
-		return &Result{Msg: fmt.Sprintf("begin tran as of %q", st.AsOf)}, nil
 	case st.Snapshot:
 		s.tx, err = s.db.Begin(immortaldb.SnapshotIsolation)
 	default:
@@ -133,7 +129,17 @@ func (s *Session) execBegin(st BeginTran) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Msg: "begin tran"}, nil
+	return BeginResult(st), nil
+}
+
+// BeginResult is the Result a successful BEGIN TRAN returns. The wire client
+// answers a BEGIN locally before the server has run it, so both build the
+// answer here and it cannot drift.
+func BeginResult(st BeginTran) *Result {
+	if st.AsOf != "" {
+		return &Result{Msg: "begin tran as of " + strconv.Quote(st.AsOf)}
+	}
+	return &Result{Msg: "begin tran"}
 }
 
 func (s *Session) execCommit() (*Result, error) {

@@ -101,6 +101,18 @@ func isIdentStart(c byte) bool {
 
 func isIdentPart(c byte) bool { return isIdentStart(c) || c >= '0' && c <= '9' }
 
+// LeadingKeyword returns the statement's first token when it is an
+// identifier (BEGIN, COMMIT, SELECT, ...) and "" otherwise. It reads no
+// further than that token, so it classifies a statement far more cheaply
+// than Parse; the statement may still fail to parse.
+func LeadingKeyword(sql string) string {
+	l := lexer{in: sql}
+	if t, err := l.next(); err == nil && t.kind == tokIdent {
+		return t.text
+	}
+	return ""
+}
+
 // tokenize splits the whole input.
 func tokenize(in string) ([]token, error) {
 	l := &lexer{in: in}

@@ -170,6 +170,8 @@ func TestMalformedHandshake(t *testing.T) {
 		{"magic only", []byte(Magic)},
 		{"wrong magic", []byte("http5")},
 		{"wrong version", append([]byte(Magic), 99)},
+		{"version below minimum", append([]byte(Magic), MinVersion-1)},
+		{"version above ours", append([]byte(Magic), Version+1)},
 		{"trailing junk", append(HelloPayload(), 0)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

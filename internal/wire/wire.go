@@ -10,10 +10,20 @@
 //
 // A connection opens with a handshake — the client sends MsgHello carrying
 // the protocol magic and version, the server answers MsgHelloOK — and then
-// carries strictly alternating request/response pairs: every MsgExec or
-// MsgPing from the client is answered by exactly one MsgResult, MsgError or
-// MsgPong. There is no pipelining; the session state machine (at most one
-// open transaction per connection) stays trivially unambiguous.
+// carries strictly alternating request/response pairs: every MsgExec,
+// MsgExecBatch or MsgPing from the client is answered by exactly one
+// MsgResult, MsgError or MsgPong. There is no pipelining; the session state
+// machine (at most one open transaction per connection) stays trivially
+// unambiguous.
+//
+// Version 3 adds MsgExecBatch: several statements in one request, run in
+// order, answered by one frame — the last statement's MsgResult, or the
+// MsgError of the first statement that failed, after which the rest are not
+// run. The client uses it to send a BEGIN it answered locally together with
+// the statement that follows it, so a BEGIN the server refuses surfaces as
+// the error of that next statement; the server runs no other shape of batch.
+// A server accepts version 2 and 3 hellos and answers with the version it
+// will speak.
 package wire
 
 import (
@@ -36,8 +46,13 @@ const (
 	MsgExec = byte(0x02)
 	// MsgPing checks liveness (and keeps a pooled connection warm).
 	MsgPing = byte(0x03)
+	// MsgExecBatch executes statements in order in one request (version 3):
+	// payload is a uvarint count followed by that many AppendString
+	// statements (see AppendExecBatch).
+	MsgExecBatch = byte(0x04)
 
-	// MsgHelloOK accepts a handshake: payload is the server's version byte.
+	// MsgHelloOK accepts a handshake: payload is the version byte the
+	// connection will speak.
 	MsgHelloOK = byte(0x81)
 	// MsgResult carries an encoded sqlish.Result (see EncodeResult).
 	MsgResult = byte(0x82)
@@ -78,8 +93,13 @@ const (
 const Magic = "immw"
 
 // Version is the protocol version this package speaks. Version 2 added the
-// error-code byte leading every MsgError payload.
-const Version = byte(2)
+// error-code byte leading every MsgError payload; version 3 added
+// MsgExecBatch.
+const Version = byte(3)
+
+// MinVersion is the oldest client version a server still serves: a version 2
+// client sends no MsgExecBatch and reads every other frame as before.
+const MinVersion = byte(2)
 
 // MaxFrame bounds a frame's length field — oversized frames indicate a
 // corrupt or hostile peer and kill the connection before any allocation.
@@ -132,16 +152,64 @@ func HelloPayload() []byte {
 	return append([]byte(Magic), Version)
 }
 
-// CheckHello validates a MsgHello payload and returns the peer's version.
+// CheckHello validates a MsgHello payload and returns the peer's version,
+// which lies in [MinVersion, Version].
 func CheckHello(payload []byte) (byte, error) {
 	if len(payload) != len(Magic)+1 || string(payload[:len(Magic)]) != Magic {
 		return 0, ErrBadHandshake
 	}
 	v := payload[len(Magic)]
-	if v != Version {
-		return v, fmt.Errorf("%w: version %d, want %d", ErrBadHandshake, v, Version)
+	if v < MinVersion || v > Version {
+		return v, fmt.Errorf("%w: version %d, want %d to %d", ErrBadHandshake, v, MinVersion, Version)
 	}
 	return v, nil
+}
+
+// AppendExecBatch appends a MsgExecBatch payload: the statement count, then
+// each statement as AppendString writes it.
+func AppendExecBatch(b []byte, stmts ...string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(stmts)))
+	for _, s := range stmts {
+		b = AppendString(b, s)
+	}
+	return b
+}
+
+var errBadBatch = errors.New("wire: malformed exec batch")
+
+// ParseExecBatch decodes a MsgExecBatch payload. It accepts exactly what
+// AppendExecBatch writes for one or more statements: the count is checked
+// against the payload length before anything is allocated (every statement
+// takes at least its one-byte length prefix), varints must be minimal and
+// no byte may trail the last statement, so the encoding is canonical.
+func ParseExecBatch(payload []byte) ([]string, error) {
+	n, rest, err := readMinimalUvarint(payload)
+	if err != nil || n == 0 || n > uint64(len(rest)) {
+		return nil, errBadBatch
+	}
+	stmts := make([]string, n)
+	for i := range stmts {
+		var l uint64
+		if l, rest, err = readMinimalUvarint(rest); err != nil || l > uint64(len(rest)) {
+			return nil, errBadBatch
+		}
+		stmts[i], rest = string(rest[:l]), rest[l:]
+	}
+	if len(rest) != 0 {
+		return nil, errBadBatch
+	}
+	return stmts, nil
+}
+
+// readMinimalUvarint is ReadUvarint that also rejects a value written in
+// more bytes than its shortest encoding.
+func readMinimalUvarint(b []byte) (uint64, []byte, error) {
+	n, sz := binary.Uvarint(b)
+	var shortest [binary.MaxVarintLen64]byte
+	if sz <= 0 || sz != binary.PutUvarint(shortest[:], n) {
+		return 0, nil, errBadBatch
+	}
+	return n, b[sz:], nil
 }
 
 // ErrorPayload builds a MsgError payload: code byte, then the message.

@@ -59,6 +59,10 @@ func TestHello(t *testing.T) {
 	if v != Version {
 		t.Fatalf("version %d, want %d", v, Version)
 	}
+	// A server still serves version 2 clients.
+	if v, err := CheckHello(append([]byte(Magic), 2)); err != nil || v != 2 {
+		t.Fatalf("v2 hello: got %d, %v", v, err)
+	}
 	if _, err := CheckHello([]byte("http/1.1")); !errors.Is(err, ErrBadHandshake) {
 		t.Fatalf("bad magic: got %v", err)
 	}
