@@ -291,27 +291,25 @@ func (p *Pool) installLocked(id page.ID, pg any) (*Frame, error) {
 func (p *Pool) evictIfFullLocked() error {
 	readOnly := p.readOnly.Load()
 	for len(p.frames) >= p.cap {
-		// Prefer a clean victim: evicting clean pages costs no write, and in
-		// read-only (degraded) mode clean victims are the only legal ones.
-		var victim, dirtyVictim *Frame
+		// Strict LRU write-back: the least recently used unpinned frame goes,
+		// written out first if dirty, so cold dirty pages cannot crowd out hot
+		// clean ones. A read-only (degraded) pool may not write: clean only.
+		var victim *Frame
+		dirtyLeft := false
 		for e := p.lru.Back(); e != nil; e = e.Prev() {
 			f := e.Value.(*Frame)
 			if f.pins != 0 {
 				continue
 			}
-			if !f.dirty {
-				victim = f
-				break
+			if f.dirty && readOnly {
+				dirtyLeft = true
+				continue
 			}
-			if dirtyVictim == nil {
-				dirtyVictim = f
-			}
-		}
-		if victim == nil && !readOnly {
-			victim = dirtyVictim
+			victim = f
+			break
 		}
 		if victim == nil {
-			if readOnly && dirtyVictim != nil {
+			if dirtyLeft {
 				return fmt.Errorf("%w: no clean frame to evict", ErrReadOnly)
 			}
 			return ErrAllPinned

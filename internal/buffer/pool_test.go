@@ -105,6 +105,158 @@ func TestAllPinned(t *testing.T) {
 	}
 }
 
+// TestEvictionIsLRUWhateverDirtiness fills a pool whose LRU tail is a pinned
+// frame, then a dirty one, then clean ones. The next install skips the pinned
+// frame and writes and evicts the dirty one: a more recently used clean frame
+// is not preferred to it.
+func TestEvictionIsLRUWhateverDirtiness(t *testing.T) {
+	p, pg := newPool(t, 4)
+	pinned := newDataFrame(t, p, pg)
+	var frames []*Frame
+	for i := 0; i < 3; i++ {
+		f := newDataFrame(t, p, pg)
+		p.Release(f)
+		frames = append(frames, f)
+	}
+	if err := p.FlushAll(false); err != nil {
+		t.Fatal(err)
+	}
+	lru := frames[0]
+	if err := lru.Data().Insert([]byte("k"), []byte("v"), false, 1); err != nil {
+		t.Fatal(err)
+	}
+	p.MarkDirty(lru, 1)
+	_, writes0, _ := pg.Stats()
+
+	f := newDataFrame(t, p, pg)
+	p.Release(f)
+	if _, ok := p.frames[lru.ID()]; ok {
+		t.Fatal("the least recently used frame stayed because it was dirty")
+	}
+	for _, g := range append(frames[1:], pinned) {
+		if _, ok := p.frames[g.ID()]; !ok {
+			t.Fatalf("page %d was evicted instead of the least recently used unpinned frame", g.ID())
+		}
+	}
+	if _, writes, _ := pg.Stats(); writes != writes0+1 {
+		t.Fatalf("eviction wrote %d pages, want 1", writes-writes0)
+	}
+	g, err := p.Fetch(lru.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Release(g)
+	if _, found := g.Data().FindSlot([]byte("k")); !found {
+		t.Fatal("the evicted dirty page was not written back")
+	}
+	p.Release(pinned)
+}
+
+// TestReadOnlyEvictsOnlyClean: a read-only pool passes over dirty frames,
+// evicts clean ones without writing anything, and refuses with ErrReadOnly
+// once only dirty frames are unpinned.
+func TestReadOnlyEvictsOnlyClean(t *testing.T) {
+	w, pg := newPool(t, 8)
+	var ids []page.ID
+	for i := 0; i < 7; i++ {
+		f := newDataFrame(t, w, pg)
+		ids = append(ids, f.ID())
+		w.Release(f)
+	}
+	if err := w.FlushAll(false); err != nil {
+		t.Fatal(err)
+	}
+	p := New(pg, 4)
+	fetch := func(id page.ID) *Frame {
+		t.Helper()
+		f, err := p.Fetch(id)
+		if err != nil {
+			t.Fatalf("fetch page %d: %v", id, err)
+		}
+		return f
+	}
+	for i, id := range ids[:4] {
+		f := fetch(id)
+		if i < 2 {
+			p.MarkDirty(f, 1)
+		}
+		p.Release(f)
+	}
+	p.SetReadOnly(true)
+	_, writes0, _ := pg.Stats()
+
+	// The two dirty frames at the LRU tail stay; the clean ones behind them go.
+	held := []*Frame{fetch(ids[4]), fetch(ids[5])}
+	for i, id := range ids[:4] {
+		if _, ok := p.frames[id]; ok != (i < 2) {
+			t.Fatalf("page %d cached = %v after two read-only evictions", id, ok)
+		}
+	}
+	if _, err := p.Fetch(ids[6]); !errors.Is(err, ErrReadOnly) {
+		t.Fatalf("fetch with only dirty frames unpinned: %v, want ErrReadOnly", err)
+	}
+	p.Release(held[0])
+	p.Release(fetch(ids[6]))
+	p.Release(held[1])
+	if _, writes, _ := pg.Stats(); writes != writes0 {
+		t.Fatalf("a read-only pool wrote %d pages", writes-writes0)
+	}
+	if dpt := p.DirtyPages(); len(dpt) != 2 {
+		t.Fatalf("dirty pages = %v, want the two dirty frames kept", dpt)
+	}
+}
+
+// BenchmarkFetchMissDirtyPool misses on every fetch into a full pool of
+// dirty frames, as a pool does under a stream of updates that touch more
+// pages than it holds. Each fetched page is dirtied, so the pool stays that
+// way: every miss writes its victim, and no miss may need to search the LRU
+// for it.
+func BenchmarkFetchMissDirtyPool(b *testing.B) {
+	const frames = 1024
+	pg, err := disk.Open(filepath.Join(b.TempDir(), "db.pages"), 4096)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer pg.Close()
+	w := New(pg, 2*frames)
+	ids := make([]page.ID, 2*frames)
+	for i := range ids {
+		id, err := pg.Allocate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		f, err := w.NewPage(id, page.NewData(id, pg.PageSize()), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		w.Release(f)
+		ids[i] = id
+	}
+	if err := w.FlushAll(false); err != nil {
+		b.Fatal(err)
+	}
+	p := New(pg, frames)
+	touch := func(i int) {
+		f, err := p.Fetch(ids[i%len(ids)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.MarkDirty(f, 1)
+		p.Release(f)
+	}
+	for i := 0; i < frames; i++ {
+		touch(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		touch(frames + i)
+	}
+	b.StopTimer()
+	if _, misses, _, _ := p.Stats(); misses != uint64(frames+b.N) {
+		b.Fatalf("%d misses in %d fetches", misses, frames+b.N)
+	}
+}
+
 func TestPreFlushHookStampsBeforeWrite(t *testing.T) {
 	p, pg := newPool(t, 4)
 	f := newDataFrame(t, p, pg)
