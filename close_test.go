@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"immortaldb/internal/itime"
 )
 
 // TestCloseAbortsOpenTransactions drives the shutdown drain end to end: an
@@ -92,12 +94,16 @@ func TestCloseAbortsOpenTransactions(t *testing.T) {
 }
 
 // TestCloseDrainTimeout pins an operation in flight forever; Close must give
-// up after DrainTimeout, leave the straggler for recovery, and still close
-// the files. A reopen then undoes the straggler's update.
+// up once DrainTimeout has passed on the engine's clock, leave the straggler
+// for recovery, and still close the files. A reopen then undoes the
+// straggler's update.
 func TestCloseDrainTimeout(t *testing.T) {
 	dir := t.TempDir()
+	clock := itime.NewSimClock(time.Date(2004, 8, 12, 10, 0, 0, 0, time.UTC))
+	const grace = time.Minute
 	db, err := Open(dir, testOpts(func(o *Options) {
-		o.DrainTimeout = 50 * time.Millisecond
+		o.Clock = clock
+		o.DrainTimeout = grace
 	}))
 	if err != nil {
 		t.Fatal(err)
@@ -116,12 +122,18 @@ func TestCloseDrainTimeout(t *testing.T) {
 	if err := tx.opEnter(false); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	if err := db.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
+	closed := make(chan error, 1)
+	go func() { closed <- db.Close() }()
+	waitParked(t, "immortaldb.(*DB).Close")
+	clock.Advance(grace - itime.TickDuration)
+	select {
+	case err := <-closed:
+		t.Fatalf("Close returned %v a tick before the drain timeout", err)
+	default:
 	}
-	if waited := time.Since(start); waited < 50*time.Millisecond {
-		t.Fatalf("Close returned after %v, before the drain timeout", waited)
+	clock.Advance(itime.TickDuration)
+	if err := awaitResult(t, closed, "Close after Advance(DrainTimeout)"); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 
 	db2, err := Open(dir, testOpts(nil))

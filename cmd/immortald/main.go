@@ -58,13 +58,12 @@ func main() {
 	idle := flag.Duration("idle-timeout", 5*time.Minute, "close connections idle this long")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "per-request I/O deadline")
 	drain := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown drain window for open transactions")
-	index := flag.String("index", "chain", "historical access path: chain or tsb")
 	slowOp := flag.Duration("slowop-threshold", 100*time.Millisecond, "operations slower than this record their span tree in /debug/slowops (negative = off)")
 	follow := flag.String("follow", "", "primary address to replicate from; serves read-only")
 	promoteFlag := flag.Bool("promote", false, "with -follow: promote to read-write primary once the initial catch-up finishes (SIGUSR1 promotes a running follower)")
 	restoreFrom := flag.String("restore-from", "", "source directory for a point-in-time restore into -db")
 	restoreAsOf := flag.String("restore-asof", "", `restore cut time, e.g. "2004-08-12 10:15:20" (with -restore-from)`)
-	tiered := flag.Bool("tiered", false, "migrate cold history pages into compressed immutable runs (requires -index chain)")
+	tiered := flag.Bool("tiered", false, "migrate cold history pages into compressed immutable runs")
 	retention := flag.Duration("retention", 0, "vacuum historical versions older than this from the cold tier (0 = keep forever; with -tiered)")
 	compactEvery := flag.Duration("compact-every", time.Minute, "background history-compaction interval (0 = manual only; with -tiered)")
 	admitLimit := flag.Int("admit-limit", 0, "starting adaptive concurrency limit for the admission gate (0 = admission control off unless a quota flag enables it)")
@@ -82,9 +81,6 @@ func main() {
 	logger := log.New(os.Stderr, "immortald: ", log.LstdFlags)
 
 	opts := &immortaldb.Options{DrainTimeout: *drain}
-	if *index == "tsb" {
-		opts.HistoricalIndex = immortaldb.IndexTSB
-	}
 	if *tiered {
 		opts.TieredHistory = true
 		opts.Retention = *retention

@@ -87,8 +87,7 @@ func main() {
 	dir := flag.String("db", "immortaldb-data", "database directory")
 	connect := flag.String("connect", "", "immortald address (host:port); overrides -db")
 	script := flag.String("f", "", "execute statements from a file instead of stdin")
-	index := flag.String("index", "chain", "historical access path: chain or tsb")
-	tiered := flag.Bool("tiered", false, "migrate cold history pages into compressed immutable runs (VACUUM HISTORY needs this; requires -index chain)")
+	tiered := flag.Bool("tiered", false, "migrate cold history pages into compressed immutable runs (VACUUM HISTORY needs this)")
 	retention := flag.Duration("retention", 0, "vacuum historical versions older than this (0 = keep forever; with -tiered)")
 	restoreFrom := flag.String("restore-from", "", "point-in-time restore source; clones into -db before opening it")
 	restoreAsOf := flag.String("restore-asof", "", `restore cut time, e.g. "2004-08-12 10:15:20" (with -restore-from)`)
@@ -130,9 +129,6 @@ func main() {
 		sess = &remoteExec{pool: pool, sess: csess}
 	} else {
 		opts := &immortaldb.Options{}
-		if *index == "tsb" {
-			opts.HistoricalIndex = immortaldb.IndexTSB
-		}
 		if *tiered {
 			opts.TieredHistory = true
 			opts.Retention = *retention

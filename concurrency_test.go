@@ -17,6 +17,7 @@ import (
 func TestConcurrentWritersAndReaders(t *testing.T) {
 	db, _ := openTestDB(t, func(o *Options) {
 		o.PageSize = 2048
+		o.Clock = pumpedClock(t)
 		o.LockTimeout = 5 * time.Second
 	})
 	tbl, _ := db.CreateTable("t", TableOptions{Immortal: true})

@@ -77,6 +77,20 @@ const (
 	IndexTSB IndexMode = IndexMode(tsb.ModeTSB)
 )
 
+// indexModeNames are the modes as a table's catalog entry records them.
+var indexModeNames = [...]string{IndexChain: "chain", IndexTSB: "tsb"}
+
+// indexMode is the historical index mode t was created in. A catalog entry
+// written before the mode was recorded opens in Options.HistoricalIndex.
+func (db *DB) indexMode(t *catalog.Table) tsb.Mode {
+	for m, name := range indexModeNames {
+		if t.HistIndex == name {
+			return tsb.Mode(m)
+		}
+	}
+	return tsb.Mode(db.opts.HistoricalIndex)
+}
+
 // Options configure Open. The zero value (or nil) gives an 8 KB-page,
 // chain-indexed, lazily-timestamped engine with durable commits.
 type Options struct {
@@ -88,21 +102,23 @@ type Options struct {
 	// default (false) gives durable commits; benchmarks set it to measure
 	// engine CPU and buffer behaviour rather than disk latency.
 	NoSync bool
-	// HistoricalIndex selects IndexChain (default) or IndexTSB.
+	// HistoricalIndex selects IndexChain (default) or IndexTSB for tables
+	// created from now on. A table's catalog entry records its mode, so a
+	// reopen under a different setting still reads it in its own.
 	HistoricalIndex IndexMode
 	// Threshold is the time-split utilization threshold T (default 0.70).
 	Threshold float64
-	// Clock supplies wall ticks; nil uses the OS clock at 20 ms resolution.
-	Clock itime.Clock
+	// Clock is the engine's one clock: commit timestamps draw its 20 ms
+	// wall ticks, and lock waits, the group-commit window, the history
+	// compactor and Close's drain all wait on it. nil uses itime.Real(), the
+	// OS clock; an itime.SimClock runs the engine on virtual time.
+	Clock itime.Timeline
 	// DisablePTTGC turns off incremental timestamp-table garbage collection
 	// (ablation A3).
 	DisablePTTGC bool
 	// EagerTimestamping stamps versions at commit, with logging, instead of
 	// lazily (ablation A1 — the alternative Section 2.2 argues against).
 	EagerTimestamping bool
-	// PTTSyncEveryCommit hardens the persistent timestamp table on every
-	// commit rather than at checkpoints.
-	PTTSyncEveryCommit bool
 	// CheckpointEveryN takes an automatic checkpoint every N committed
 	// transactions (0 disables; checkpoints can always be taken manually).
 	CheckpointEveryN int
@@ -186,7 +202,7 @@ func (o *Options) withDefaults() Options {
 		out.Threshold = tsb.DefaultThreshold
 	}
 	if out.Clock == nil {
-		out.Clock = &itime.WallClock{}
+		out.Clock = itime.Real()
 	}
 	return out
 }
@@ -390,6 +406,7 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 	log.NoSync = o.NoSync
 	log.GroupCommit = o.GroupCommit != GroupCommitOff
 	log.CommitEvery = o.CommitEvery
+	log.Clock = o.Clock
 	if o.WALSegmentSize > 0 {
 		log.SegmentSize = o.WALSegmentSize
 	}
@@ -438,6 +455,7 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 	// commit record is still in the unsynced log tail (recovery would stamp a
 	// loser's versions from it).
 	db.stamp.ForceLog = log.SyncTo
+	db.locks.Clock = o.Clock
 	if o.LockTimeout > 0 {
 		db.locks.Timeout = o.LockTimeout
 	}
@@ -702,7 +720,7 @@ func (db *DB) treeConfig(t *catalog.Table) tsb.Config {
 		TableID:   t.ID,
 		Logger:    &treeLogger{db: db, tableID: t.ID},
 		Stamper:   &treeStamper{db: db},
-		Mode:      tsb.Mode(db.opts.HistoricalIndex),
+		Mode:      db.indexMode(t),
 		Threshold: db.opts.Threshold,
 		Immortal:  t.Immortal,
 		NoTail:    !t.Versioned(),
@@ -726,7 +744,7 @@ func (db *DB) treeConfig(t *catalog.Table) tsb.Config {
 	// chain ends without covering the requested time. The hook is always on —
 	// runs written under TieredHistory must stay readable after a reopen with
 	// the option off — while migration (the compactor kick) is gated.
-	if t.Immortal && tsb.Mode(db.opts.HistoricalIndex) == tsb.ModeChain {
+	if t.Immortal && cfg.Mode == tsb.ModeChain {
 		cfg.Hist = &treeHist{db: db, tableID: t.ID}
 		if db.opts.TieredHistory && !db.replica.Load() {
 			cfg.OnTimeSplit = db.kickCompactor
@@ -791,10 +809,11 @@ func (db *DB) CreateTable(name string, topts TableOptions) (*Table, error) {
 		topts.Snapshot = true
 	}
 	meta, err := db.cat.Create(catalog.Table{
-		Name:     name,
-		Immortal: topts.Immortal,
-		Snapshot: topts.Snapshot,
-		Columns:  topts.Columns,
+		Name:      name,
+		Immortal:  topts.Immortal,
+		Snapshot:  topts.Snapshot,
+		Columns:   topts.Columns,
+		HistIndex: indexModeNames[db.opts.HistoricalIndex],
 	})
 	if err != nil {
 		return nil, err
@@ -1016,19 +1035,17 @@ func (db *DB) Close() error {
 	if grace <= 0 {
 		grace = DefaultDrainTimeout
 	}
-	deadline := time.Now().Add(grace)
-	var timer *time.Timer
 	if db.opCount > 0 {
-		timer = time.AfterFunc(grace, func() {
+		expired := false
+		timer := db.opts.Clock.AfterFunc(grace, func() {
 			db.mu.Lock()
+			expired = true
 			db.opDone.Broadcast()
 			db.mu.Unlock()
 		})
-	}
-	for db.opCount > 0 && time.Now().Before(deadline) {
-		db.opDone.Wait()
-	}
-	if timer != nil {
+		for db.opCount > 0 && !expired {
+			db.opDone.Wait()
+		}
 		timer.Stop()
 	}
 	drained := db.opCount == 0

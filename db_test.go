@@ -276,7 +276,11 @@ func TestUpdateViewHelpers(t *testing.T) {
 }
 
 func TestSerializableBlocksConflicts(t *testing.T) {
-	db, _ := openTestDB(t, func(o *Options) { o.LockTimeout = 100 * time.Millisecond })
+	clock := testClock()
+	db, _ := openTestDB(t, func(o *Options) {
+		o.Clock = clock
+		o.LockTimeout = 100 * time.Millisecond
+	})
 	tbl, _ := db.CreateTable("t", TableOptions{Immortal: true})
 	set(t, db, tbl, "k", "v0")
 
@@ -286,7 +290,11 @@ func TestSerializableBlocksConflicts(t *testing.T) {
 	}
 	// A second writer must block and time out.
 	tx2, _ := db.Begin(Serializable)
-	if err := tx2.Set(tbl, []byte("k"), []byte("v2")); err == nil {
+	blocked := make(chan error, 1)
+	go func() { blocked <- tx2.Set(tbl, []byte("k"), []byte("v2")) }()
+	waitParked(t, "immortaldb/internal/lock.(*Manager).Acquire")
+	clock.Advance(100 * time.Millisecond)
+	if err := awaitResult(t, blocked, "conflicting write"); err == nil {
 		t.Fatal("conflicting write did not block")
 	}
 	tx2.Rollback()
@@ -780,6 +788,50 @@ func TestTSBIndexMode(t *testing.T) {
 			t.Fatalf("TSB as-of %d: %q, %v", probe, v, ok)
 		}
 		old.Commit()
+	}
+}
+
+// TestIndexModeSurvivesReopen reopens a table under the other
+// HistoricalIndex setting, in both directions: the table must keep reading
+// its history in the mode it was created in, so every AS OF probe still
+// answers.
+func TestIndexModeSurvivesReopen(t *testing.T) {
+	for _, c := range []struct {
+		name           string
+		create, reopen IndexMode
+	}{{"chain-as-tsb", IndexChain, IndexTSB}, {"tsb-as-chain", IndexTSB, IndexChain}} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir, testOpts(func(o *Options) { o.HistoricalIndex = c.create }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, _ := db.CreateTable("t", TableOptions{Immortal: true})
+			var times []Timestamp
+			for i := 0; i < 300; i++ {
+				times = append(times, set(t, db, tbl, fmt.Sprintf("k%d", i%6), fmt.Sprintf("v%d", i)))
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			db, err = Open(dir, testOpts(func(o *Options) { o.HistoricalIndex = c.reopen }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			tbl, _ = db.Table("t")
+			wrong := 0
+			for probe := range times {
+				old, _ := db.BeginAsOfTS(times[probe])
+				if v, ok := get(t, old, tbl, fmt.Sprintf("k%d", probe%6)); !ok || v != fmt.Sprintf("v%d", probe) {
+					wrong++
+				}
+				old.Commit()
+			}
+			if wrong > 0 {
+				t.Fatalf("%d of %d AS OF probes wrong after the reopen", wrong, len(times))
+			}
+		})
 	}
 }
 

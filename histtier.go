@@ -92,19 +92,31 @@ func (db *DB) kickCompactor() {
 	}
 }
 
-// compactorLoop runs CompactHistory on a timer and on time-split kicks until
-// stopped. Any error parks the loop: ErrDegraded and shutdown errors are
+// compactorLoop runs CompactHistory every interval of the engine's clock and
+// on time-split kicks until stopped. The interval timer kicks like a time
+// split does and re-arms itself from its own callback, so on a SimClock each
+// Advance(every) kicks one pass; a kick the loop has not yet taken absorbs
+// the next. Once the loop stops, the pending timer fires one last time and
+// does nothing. Any error parks the loop: ErrDegraded and shutdown errors are
 // permanent in-process, and an unexpected failure already latched the engine
 // degraded inside CompactHistory.
 func (db *DB) compactorLoop(every time.Duration) {
 	defer close(db.histDone)
-	ticker := time.NewTicker(every)
-	defer ticker.Stop()
+	var tick func()
+	tick = func() {
+		select {
+		case <-db.histStop:
+			return
+		default:
+		}
+		db.kickCompactor()
+		db.opts.Clock.AfterFunc(every, tick)
+	}
+	db.opts.Clock.AfterFunc(every, tick)
 	for {
 		select {
 		case <-db.histStop:
 			return
-		case <-ticker.C:
 		case <-db.histKick:
 		}
 		if err := db.CompactHistory(); err != nil {
@@ -192,7 +204,7 @@ func (db *DB) vacuumHistory(collect bool) (VacuumStats, error) {
 	}
 	var targets []target
 	for _, t := range db.cat.List() {
-		if t.Immortal {
+		if t.Immortal && db.indexMode(t) == tsb.ModeChain {
 			if tr := db.trees[t.ID]; tr != nil {
 				targets = append(targets, target{t.ID, tr})
 			}

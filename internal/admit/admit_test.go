@@ -32,7 +32,7 @@ func TestTenantFromStatement(t *testing.T) {
 }
 
 func TestTokenBucketManualRefill(t *testing.T) {
-	tl := &itime.SimTimeline{}
+	tl := &itime.SimClock{}
 	g := New(Config{Tenant: Quota{Burst: 2}, Clock: tl})
 	ctx := context.Background()
 
@@ -70,7 +70,7 @@ func TestTokenBucketManualRefill(t *testing.T) {
 }
 
 func TestTokenBucketRateRefill(t *testing.T) {
-	tl := &itime.SimTimeline{}
+	tl := &itime.SimClock{}
 	g := New(Config{Tenant: Quota{Rate: 10, Burst: 1}, Clock: tl})
 	ctx := context.Background()
 
@@ -93,7 +93,7 @@ func TestTokenBucketRateRefill(t *testing.T) {
 }
 
 func TestConcurrencyQueueAndHandoff(t *testing.T) {
-	tl := &itime.SimTimeline{}
+	tl := &itime.SimClock{}
 	g := New(Config{Limit: 1, MaxQueue: 1, Clock: tl})
 	ctx := context.Background()
 
@@ -136,7 +136,7 @@ func TestConcurrencyQueueAndHandoff(t *testing.T) {
 }
 
 func TestQueueTimeoutShed(t *testing.T) {
-	tl := &itime.SimTimeline{}
+	tl := &itime.SimClock{}
 	g := New(Config{Limit: 1, MaxWait: 100 * time.Millisecond, Clock: tl})
 	ctx := context.Background()
 
@@ -165,7 +165,7 @@ func TestQueueTimeoutShed(t *testing.T) {
 }
 
 func TestDeadlineShedUsesLatencyEstimate(t *testing.T) {
-	tl := &itime.SimTimeline{}
+	tl := &itime.SimClock{}
 	g := New(Config{Limit: 1, MaxWait: 10 * time.Millisecond, Clock: tl})
 	ctx := context.Background()
 
@@ -195,7 +195,7 @@ func TestDeadlineShedUsesLatencyEstimate(t *testing.T) {
 }
 
 func TestTxnPriorityBypassesGate(t *testing.T) {
-	tl := &itime.SimTimeline{}
+	tl := &itime.SimClock{}
 	g := New(Config{Default: Quota{Burst: 1}, Limit: 1, Clock: tl})
 	ctx := context.Background()
 
@@ -219,7 +219,7 @@ func TestTxnPriorityBypassesGate(t *testing.T) {
 }
 
 func TestAIMDTracksLatency(t *testing.T) {
-	tl := &itime.SimTimeline{}
+	tl := &itime.SimClock{}
 	g := New(Config{Limit: 10, MinLimit: 1, Target: 10 * time.Millisecond, Clock: tl})
 	ctx := context.Background()
 

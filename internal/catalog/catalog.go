@@ -44,6 +44,10 @@ type Table struct {
 	Root       page.ID  `json:"root"`
 	RootIsLeaf bool     `json:"root_is_leaf"`
 	Columns    []Column `json:"columns,omitempty"`
+	// HistIndex is the historical index mode the table was created in
+	// ("chain" or "tsb"). Entries written before the mode was recorded
+	// lack it.
+	HistIndex string `json:"hist_index,omitempty"`
 }
 
 // Versioned reports whether the table's records carry versioning tails.

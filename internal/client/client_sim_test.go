@@ -22,9 +22,9 @@ import (
 
 // simCluster boots one real server over the simulated network on a virtual
 // timeline.
-func simCluster(t *testing.T, cfg server.Config) (*sim.Net, *itime.SimTimeline, *server.Server, string) {
+func simCluster(t *testing.T, cfg server.Config) (*sim.Net, *itime.SimClock, *server.Server, string) {
 	t.Helper()
-	tl := itime.NewSimTimeline(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
+	tl := itime.NewSimClock(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	n := sim.NewNet(tl, 1)
 	db, err := immortaldb.Open(t.TempDir(), &immortaldb.Options{NoSync: true, Clock: tl})
 	if err != nil {
@@ -91,7 +91,7 @@ func TestStaleIdleConnRetrySim(t *testing.T) {
 // dial attempts were refused; the backoff runs in virtual time, so the test
 // involves no wall-clock tuning.
 func TestDialRetryBackoffSim(t *testing.T) {
-	tl := itime.NewSimTimeline(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
+	tl := itime.NewSimClock(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	stop := tl.StartPump(100*time.Microsecond, 50*time.Millisecond)
 	defer stop()
 	n := sim.NewNet(tl, 1)
@@ -226,7 +226,7 @@ func drain(ch chan struct{}) int {
 // would mask the operator page), must not burn its retry budget, and must
 // keep the connection pooled (a degraded reply is a healthy connection).
 func TestDegradedResponseNotRetried(t *testing.T) {
-	tl := itime.NewSimTimeline(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
+	tl := itime.NewSimClock(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	stop := tl.StartPump(100*time.Microsecond, 50*time.Millisecond)
 	defer stop()
 	n := sim.NewNet(tl, 1)
@@ -269,7 +269,7 @@ func TestDegradedResponseNotRetried(t *testing.T) {
 // TestRetryableResponseRetriesWithBudget: the contrast case — CodeRetryable
 // is retried with backoff until the attempt budget is exhausted.
 func TestRetryableResponseRetriesWithBudget(t *testing.T) {
-	tl := itime.NewSimTimeline(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
+	tl := itime.NewSimClock(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	stop := tl.StartPump(100*time.Microsecond, 50*time.Millisecond)
 	defer stop()
 	n := sim.NewNet(tl, 1)

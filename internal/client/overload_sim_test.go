@@ -23,7 +23,7 @@ import (
 // exponential schedule (1s base), so a full retry round costs tens of
 // milliseconds of budget, not seconds.
 func TestOverloadedResponseHintBackoff(t *testing.T) {
-	tl := itime.NewSimTimeline(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
+	tl := itime.NewSimClock(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	stop := tl.StartPump(100*time.Microsecond, 50*time.Millisecond)
 	defer stop()
 	n := sim.NewNet(tl, 1)
@@ -207,7 +207,7 @@ func TestRedirectRetryRacesSecondPromotion(t *testing.T) {
 // last one knows no primary. The client must surface a typed error promptly
 // — never hang, never loop.
 func TestRedirectNoPrimaryReachable(t *testing.T) {
-	tl := itime.NewSimTimeline(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
+	tl := itime.NewSimClock(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	stop := tl.StartPump(100*time.Microsecond, 50*time.Millisecond)
 	defer stop()
 	n := sim.NewNet(tl, 1)

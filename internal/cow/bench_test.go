@@ -35,8 +35,8 @@ func BenchmarkPutAscending(b *testing.B) {
 	}
 }
 
-// BenchmarkPutCommitEvery mirrors PTTSyncEveryCommit: a copy-on-write commit
-// per insert.
+// BenchmarkPutCommitEvery measures a copy-on-write commit per insert: the
+// cost of hardening the timestamp table on every commit.
 func BenchmarkPutCommitEvery(b *testing.B) {
 	tr := benchTree(b)
 	val := make([]byte, 12)

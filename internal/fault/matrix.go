@@ -145,6 +145,7 @@ type Result struct {
 	crashed  bool
 
 	commitEvery time.Duration // concurrent scenarios: group-commit window
+	stopPump    func()        // stops the pump a group-commit window needs
 
 	// Persistence scenarios: how the engine behaved once the disk started
 	// failing. Degraded is DB.Degraded() != nil at the end of the writing
@@ -186,14 +187,23 @@ func (r *Result) options(fs *vfs.SimFS) *immortaldb.Options {
 		// segment creation and switch-over too.
 		WALSegmentSize: 4096,
 		TieredHistory:  r.Scenario.Tiered,
-		CommitEvery:    r.commitEvery,
 	}
 }
 
 // create opens a fresh database in dir on fs and creates the workload table.
+// Only the driven database waits out a group-commit window: reopens for
+// recovery run without one.
 func (r *Result) create(fs *vfs.SimFS, dir string, retainWAL bool) (*immortaldb.DB, *immortaldb.Table, *itime.SimClock, error) {
 	opts := r.options(fs)
 	opts.RetainWAL = retainWAL
+	opts.CommitEvery = r.commitEvery
+	clock := opts.Clock.(*itime.SimClock)
+	if r.commitEvery > 0 {
+		// The group-commit leader waits out its window on the engine's
+		// clock, so something must move it: a pump stepping one window per
+		// poll keeps that wait near one poll of real time. Run stops it.
+		r.stopPump = clock.StartPump(0, r.commitEvery)
+	}
 	db, err := immortaldb.Open(dir, opts)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("open: %w", err)
@@ -203,7 +213,7 @@ func (r *Result) create(fs *vfs.SimFS, dir string, retainWAL bool) (*immortaldb.
 		db.Close()
 		return nil, nil, nil, fmt.Errorf("create table: %w", err)
 	}
-	return db, tbl, opts.Clock.(*itime.SimClock), nil
+	return db, tbl, clock, nil
 }
 
 // arm sets the crash point relative to the disk operations executed so far,
@@ -240,6 +250,9 @@ func (r *Result) finish(db *immortaldb.DB) {
 func Run(c Coord) *Result {
 	r := &Result{Scenario: ByName(c.Scenario), Coord: c, FS: vfs.NewSim(c.Seed)}
 	r.Scenario.Drive(r)
+	if r.stopPump != nil {
+		r.stopPump()
+	}
 	r.Trace = r.FS.Trace()
 	r.executed = r.FS.OpCount()
 	r.crashed = r.FS.Crashed() || errors.Is(r.Err, vfs.ErrCrashed)

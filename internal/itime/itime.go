@@ -13,6 +13,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -151,4 +153,90 @@ func ParseAsOf(s string) (Timestamp, error) {
 		}
 	}
 	return Timestamp{}, fmt.Errorf("itime: cannot parse AS OF time %q", s)
+}
+
+// Sequencer hands out commit timestamps that are strictly increasing and
+// therefore consistent with commit (serialization) order, as Section 2.1
+// requires. Within one wall tick it increments the sequence number; when the
+// clock has moved on it resets the sequence number to zero.
+type Sequencer struct {
+	mu    sync.Mutex
+	clock Timeline
+	last  Timestamp
+}
+
+// NewSequencer returns a Sequencer drawing wall ticks from clock.
+func NewSequencer(clock Timeline) *Sequencer {
+	return &Sequencer{clock: clock}
+}
+
+// Next returns the next commit timestamp. It is safe for concurrent use; the
+// caller serializes commits, and the returned timestamps strictly increase in
+// the order Next returns them.
+func (s *Sequencer) Next() Timestamp {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	w := s.clock.NowTick()
+	if w > s.last.Wall {
+		s.last = Timestamp{Wall: w}
+	} else {
+		// Same (or, defensively, earlier) tick: extend with the sequence
+		// number. 2^32 transactions per 20 ms exceeds any real system.
+		s.last = s.last.Next()
+	}
+	return s.last
+}
+
+// Last returns the most recently issued timestamp, or the zero timestamp if
+// none has been issued. It is the snapshot point for new snapshot-isolation
+// transactions: everything committed so far is visible at Last.
+func (s *Sequencer) Last() Timestamp {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.last
+}
+
+// Reset restores the sequencer's high-water mark, used after recovery so
+// post-crash commits never reuse or precede a pre-crash timestamp.
+func (s *Sequencer) Reset(last Timestamp) {
+	s.mu.Lock()
+	if last.After(s.last) {
+		s.last = last
+	}
+	s.mu.Unlock()
+}
+
+// TIDSource allocates ascending transaction IDs.
+type TIDSource struct {
+	next atomic.Uint64
+}
+
+// NewTIDSource returns a source whose first TID is first (or 1 if first is 0).
+func NewTIDSource(first TID) *TIDSource {
+	s := &TIDSource{}
+	if first == 0 {
+		first = 1
+	}
+	s.next.Store(uint64(first))
+	return s
+}
+
+// Next returns the next TID.
+func (s *TIDSource) Next() TID { return TID(s.next.Add(1) - 1) }
+
+// Peek returns the TID that the next call to Next will return.
+func (s *TIDSource) Peek() TID { return TID(s.next.Load()) }
+
+// Bump raises the allocator so that the next TID is strictly greater than
+// seen; recovery uses it to skip past every TID found in the log.
+func (s *TIDSource) Bump(seen TID) {
+	for {
+		cur := s.next.Load()
+		if cur > uint64(seen) {
+			return
+		}
+		if s.next.CompareAndSwap(cur, uint64(seen)+1) {
+			return
+		}
+	}
 }

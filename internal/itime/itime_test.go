@@ -150,9 +150,20 @@ func TestSimClock(t *testing.T) {
 	if got := c.NowTick(); got != t0+5 {
 		t.Fatalf("Advance(100ms): got %d, want %d", got, t0+5)
 	}
+	// Advance is exact to the nanosecond: the tick turns over only when a
+	// whole TickDuration has passed.
+	c.Advance(TickDuration - time.Nanosecond)
+	if got := c.NowTick(); got != t0+5 {
+		t.Fatalf("Advance(tick-1ns) turned the tick: got %d, want %d", got, t0+5)
+	}
 	c.Advance(time.Nanosecond)
 	if got := c.NowTick(); got != t0+6 {
-		t.Fatalf("tiny Advance should move at least one tick: got %d, want %d", got, t0+6)
+		t.Fatalf("Advance(1ns) at a tick's end: got %d, want %d", got, t0+6)
+	}
+	// A start time inside a tick is rounded down to the tick's start.
+	mid := NewSimClock(time.Date(2004, 8, 12, 0, 0, 0, int(TickDuration)-1, time.UTC))
+	if got, want := mid.Now(), time.Date(2004, 8, 12, 0, 0, 0, 0, time.UTC); !got.Equal(want) {
+		t.Fatalf("NewSimClock mid-tick: Now = %v, want %v", got, want)
 	}
 }
 
@@ -169,7 +180,7 @@ func TestSimClockAutoStep(t *testing.T) {
 }
 
 func TestWallClockMonotonic(t *testing.T) {
-	var c WallClock
+	c := Real()
 	prev := c.NowTick()
 	for i := 0; i < 1000; i++ {
 		now := c.NowTick()

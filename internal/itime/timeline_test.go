@@ -8,7 +8,7 @@ import (
 )
 
 func TestSimTimelineAdvanceFiresInOrder(t *testing.T) {
-	tl := NewSimTimeline(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
+	tl := NewSimClock(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	var order []int
 	tl.AfterFunc(30*time.Millisecond, func() { order = append(order, 3) })
 	tl.AfterFunc(10*time.Millisecond, func() { order = append(order, 1) })
@@ -25,7 +25,7 @@ func TestSimTimelineAdvanceFiresInOrder(t *testing.T) {
 }
 
 func TestSimTimelineStop(t *testing.T) {
-	tl := NewSimTimeline(time.Unix(0, 0))
+	tl := NewSimClock(time.Unix(0, 0))
 	var fired atomic.Bool
 	timer := tl.AfterFunc(time.Second, func() { fired.Store(true) })
 	if !timer.Stop() {
@@ -42,7 +42,7 @@ func TestSimTimelineStop(t *testing.T) {
 
 func TestSimTimelineSleepAndTicks(t *testing.T) {
 	start := time.Date(2025, 6, 1, 12, 0, 0, 0, time.UTC)
-	tl := NewSimTimeline(start)
+	tl := NewSimClock(start)
 	if got := tl.Now(); !got.Equal(start) {
 		t.Fatalf("Now = %v, want %v", got, start)
 	}
@@ -66,7 +66,7 @@ func TestSimTimelineSleepAndTicks(t *testing.T) {
 }
 
 func TestSimTimelineSleepHonorsContext(t *testing.T) {
-	tl := NewSimTimeline(time.Unix(0, 0))
+	tl := NewSimClock(time.Unix(0, 0))
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- tl.Sleep(ctx, time.Hour) }()
@@ -77,7 +77,7 @@ func TestSimTimelineSleepHonorsContext(t *testing.T) {
 }
 
 func TestSimTimelinePump(t *testing.T) {
-	tl := NewSimTimeline(time.Unix(0, 0))
+	tl := NewSimClock(time.Unix(0, 0))
 	stop := tl.StartPump(100*time.Microsecond, 10*time.Millisecond)
 	defer stop()
 	if err := tl.Sleep(context.Background(), 5*time.Second); err != nil {
@@ -88,7 +88,7 @@ func TestSimTimelinePump(t *testing.T) {
 func TestSimTimelineAfterFuncChains(t *testing.T) {
 	// A callback scheduling a further callback within the same Advance
 	// window fires inside that Advance.
-	tl := NewSimTimeline(time.Unix(0, 0))
+	tl := NewSimClock(time.Unix(0, 0))
 	var hits atomic.Int32
 	tl.AfterFunc(10*time.Millisecond, func() {
 		hits.Add(1)
@@ -97,6 +97,28 @@ func TestSimTimelineAfterFuncChains(t *testing.T) {
 	tl.Advance(50 * time.Millisecond)
 	if got := hits.Load(); got != 2 {
 		t.Fatalf("chained callbacks fired %d times, want 2", got)
+	}
+}
+
+func TestSimClockAutoStepDoesNotFire(t *testing.T) {
+	// AutoStep moves time on NowTick but never runs a callback: the one it
+	// passes over fires at the next Advance, however small.
+	c := NewSimClock(time.Unix(0, 0))
+	c.AutoStep = 10
+	var fired atomic.Bool
+	c.AfterFunc(5*TickDuration, func() { fired.Store(true) })
+	if got := c.NowTick(); got != 10 {
+		t.Fatalf("NowTick after AutoStep = %d, want 10", got)
+	}
+	if fired.Load() {
+		t.Fatal("NowTick fired a callback")
+	}
+	c.Advance(time.Nanosecond)
+	if !fired.Load() {
+		t.Fatal("callback passed over by AutoStep did not fire at the next Advance")
+	}
+	if got := c.Now(); !got.Equal(time.Unix(0, int64(10*TickDuration)+1)) {
+		t.Fatalf("Now = %v: Advance must not move time back to the callback's deadline", got)
 	}
 }
 

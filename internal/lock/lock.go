@@ -75,11 +75,14 @@ type Manager struct {
 	held    map[itime.TID]map[Key]Mode // per-transaction held locks
 	waitFor map[itime.TID]Key          // which key each blocked txn waits on
 	Timeout time.Duration
+	// Clock is the timeline waits time out on (default itime.Real()).
+	Clock itime.Timeline
 }
 
 // New returns an empty lock manager.
 func New() *Manager {
 	return &Manager{
+		Clock:   itime.Real(),
 		locks:   make(map[Key]*entry),
 		held:    make(map[itime.TID]map[Key]Mode),
 		waitFor: make(map[itime.TID]Key),
@@ -142,28 +145,24 @@ func (m *Manager) Acquire(tid itime.TID, key Key, mode Mode) error {
 	m.mu.Unlock()
 
 	waitStart := obs.Now()
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case err := <-w.ch:
-		obsWaitLat.ObserveSince(waitStart)
-		return err
-	case <-timer.C:
+	// The timeout settles the wait under m.mu, so it and a grant (which
+	// dequeues the waiter under the same lock) cannot both happen.
+	timer := m.Clock.AfterFunc(timeout, func() {
 		m.mu.Lock()
-		// Re-check: the grant may have raced the timer.
-		select {
-		case err := <-w.ch:
-			m.mu.Unlock()
-			obsWaitLat.ObserveSince(waitStart)
-			return err
-		default:
+		defer m.mu.Unlock()
+		if m.removeWaiterLocked(key, w) {
+			delete(m.waitFor, tid)
+			w.ch <- fmt.Errorf("%w: txn %d on %v", ErrTimeout, tid, key)
 		}
-		m.removeWaiterLocked(key, w)
-		delete(m.waitFor, tid)
-		m.mu.Unlock()
+	})
+	err := <-w.ch
+	timer.Stop()
+	if errors.Is(err, ErrTimeout) {
 		obsTimeouts.Inc()
-		return fmt.Errorf("%w: txn %d on %v", ErrTimeout, tid, key)
+	} else {
+		obsWaitLat.ObserveSince(waitStart)
 	}
+	return err
 }
 
 func (m *Manager) grantLocked(e *entry, tid itime.TID, key Key, mode Mode) {
@@ -220,17 +219,19 @@ func (m *Manager) wouldDeadlockLocked(tid itime.TID, e *entry) bool {
 	return false
 }
 
-func (m *Manager) removeWaiterLocked(key Key, w *waiter) {
+// removeWaiterLocked dequeues w, reporting whether it was still queued.
+func (m *Manager) removeWaiterLocked(key Key, w *waiter) bool {
 	e, ok := m.locks[key]
 	if !ok {
-		return
+		return false
 	}
 	for i, q := range e.queue {
 		if q == w {
 			e.queue = append(e.queue[:i], e.queue[i+1:]...)
-			return
+			return true
 		}
 	}
+	return false
 }
 
 // ReleaseAll frees every lock held by tid (commit or abort) and wakes

@@ -7,11 +7,10 @@
 // exposition format on /metrics and the slow-op ring on /debug/slowops.
 //
 // The layer is built to live on hot paths. Recording is a few atomic
-// operations behind a single enabled check; building with the `obsoff` tag
-// compiles every recording call down to a dead branch on a false constant,
-// giving a true no-op baseline for overhead measurement (the runtime switch
-// SetEnabled approximates the same baseline in one binary; EXPERIMENTS.md
-// keeps the last overhead numbers measured that way).
+// operations behind one check of a constant: building with the `obsoff` tag
+// makes it false, which compiles every recording call down to a dead branch
+// and gives a true no-op baseline for overhead measurement. There is no
+// runtime switch.
 //
 // Metrics are process-global, like Prometheus default-registry collectors: a
 // process serving several DB instances aggregates them. Counters and
@@ -27,19 +26,10 @@ import (
 	"sync/atomic"
 )
 
-// disabled is the runtime kill switch; the zero value means enabled. The
-// compile-time switch is the `obsoff` build tag (see compiledIn).
-var disabled atomic.Bool
-
-// Enabled reports whether recording is live. With the obsoff build tag,
-// compiledIn is a false constant and every recording method's enabled check
-// folds away.
-func Enabled() bool { return compiledIn && !disabled.Load() }
-
-// SetEnabled flips the runtime switch. Registered metrics keep their values;
-// recording simply stops (or resumes). Used by the overhead ablation to
-// measure the instrumented-vs-no-op delta within one binary.
-func SetEnabled(on bool) { disabled.Store(!on) }
+// Enabled reports whether recording is compiled in. It returns the
+// compiledIn constant, so under the obsoff build tag every recording
+// method's check folds away.
+func Enabled() bool { return compiledIn }
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct {

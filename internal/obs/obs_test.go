@@ -169,27 +169,6 @@ func TestSlowOpCaptureAndRingEviction(t *testing.T) {
 	}
 }
 
-func TestSetEnabledStopsRecording(t *testing.T) {
-	c := NewCounter("test_disable_total", "test")
-	h := newHistogram("test_disable_hist", "test", []float64{1})
-	SetEnabled(false)
-	c.Inc()
-	h.Observe(0.5)
-	_, sp := StartSpan(context.Background(), "disabled")
-	SetEnabled(true)
-	sp.End() // nil span: no-op
-	if c.Value() != 0 || h.Count() != 0 {
-		t.Fatalf("recording not disabled: counter=%d hist=%d", c.Value(), h.Count())
-	}
-	if sp != nil {
-		t.Fatal("StartSpan returned a live span while disabled")
-	}
-	c.Inc()
-	if compiledIn && c.Value() != 1 {
-		t.Fatal("recording did not resume")
-	}
-}
-
 func TestWritePrometheus(t *testing.T) {
 	if !compiledIn {
 		t.Skip("recording compiled out (obsoff)")

@@ -31,9 +31,11 @@ const (
 	scnOpTimeout   = 5 * time.Minute
 	scnIdleTimeout = 24 * time.Hour
 	scnReqTimeout  = 30 * time.Minute
-	scnBackoff     = 5 * time.Millisecond
-	pumpPoll       = 200 * time.Microsecond
-	pumpStep       = 100 * time.Millisecond
+	// scnEngineTimeout bounds the engine's lock waits and Close drain.
+	scnEngineTimeout = 30 * time.Minute
+	scnBackoff       = 5 * time.Millisecond
+	pumpPoll         = 200 * time.Microsecond
+	pumpStep         = 100 * time.Millisecond
 )
 
 // Step is one entry of a scenario script. Exactly one field should be set;
@@ -258,6 +260,11 @@ func Predefined(name string) (Scenario, bool) {
 	return Scenario{}, false
 }
 
+// engineOptions runs an engine on the scenario's virtual clock.
+func engineOptions(tl *itime.SimClock) *immortaldb.Options {
+	return &immortaldb.Options{NoSync: true, Clock: tl, LockTimeout: scnEngineTimeout, DrainTimeout: scnEngineTimeout}
+}
+
 // ScenarioNames lists the predefined suite.
 func ScenarioNames() []string {
 	return []string{"smoke", "partition", "churn", "moving", "replica-kill", "replica-partition", "primary-kill-promote", "overload-storm"}
@@ -272,7 +279,7 @@ func Run(sc Scenario, seed int64) (*Result, error) {
 	if sc.Servers <= 0 || sc.Clients <= 0 {
 		return nil, errors.New("sim: scenario needs at least one server and one client")
 	}
-	tl := itime.NewSimTimeline(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
+	tl := itime.NewSimClock(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	stopPump := tl.StartPump(pumpPoll, pumpStep)
 	defer stopPump()
 
@@ -303,7 +310,7 @@ func Run(sc Scenario, seed int64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		db, err := immortaldb.Open(dir, &immortaldb.Options{NoSync: true, Clock: tl})
+		db, err := immortaldb.Open(dir, engineOptions(tl))
 		if err != nil {
 			os.RemoveAll(dir)
 			return nil, err
@@ -389,7 +396,7 @@ func Run(sc Scenario, seed int64) (*Result, error) {
 		f := repl.NewFollower(repl.Config{
 			Dir:          dir,
 			Addr:         servers[0].addr,
-			DBOptions:    &immortaldb.Options{NoSync: true, Clock: tl},
+			DBOptions:    engineOptions(tl),
 			Dialer:       n.Dialer(fmt.Sprintf("repl%d", i)),
 			Timeline:     tl,
 			OpTimeout:    scnOpTimeout,

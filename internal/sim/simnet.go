@@ -137,7 +137,7 @@ type Profile struct {
 
 // Net is one simulated network universe. All listeners, dials and
 // connections within it share one seed and one timeline; latency and
-// deadlines are virtual when the timeline is an itime.SimTimeline.
+// deadlines are virtual when the timeline is an itime.SimClock.
 type Net struct {
 	tl   itime.Timeline
 	seed int64
@@ -504,7 +504,7 @@ func (p *pair) delayLocked() time.Duration {
 
 // Conn is one endpoint of a simulated connection. It implements net.Conn;
 // deadlines are interpreted on the network's timeline, so with a
-// SimTimeline an idle timeout fires in virtual time.
+// SimClock an idle timeout fires in virtual time.
 type Conn struct {
 	p      *pair
 	peer   *Conn

@@ -11,9 +11,9 @@ import (
 	"immortaldb/internal/itime"
 )
 
-func newTestNet(t *testing.T, seed int64) (*Net, *itime.SimTimeline) {
+func newTestNet(t *testing.T, seed int64) (*Net, *itime.SimClock) {
 	t.Helper()
-	tl := itime.NewSimTimeline(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
+	tl := itime.NewSimClock(time.Date(2025, 1, 1, 0, 0, 0, 0, time.UTC))
 	return NewNet(tl, seed), tl
 }
 

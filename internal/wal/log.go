@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"immortaldb/internal/itime"
 	"immortaldb/internal/obs"
 	"immortaldb/internal/storage/vfs"
 )
@@ -99,6 +101,9 @@ type Log struct {
 	// leader flushes immediately, and batching arises from committers that
 	// arrive while its sync is in flight.
 	CommitEvery time.Duration
+	// Clock is the timeline the CommitEvery window is waited out on
+	// (default itime.Real()). Must be set before use.
+	Clock itime.Timeline
 	// SegmentSize is the data capacity of a segment before rotation; zero
 	// means DefaultSegmentSize. Must be set before use.
 	SegmentSize int64
@@ -136,7 +141,7 @@ func Open(path string) (*Log, error) {
 // validates the segment files, and scans the retained records to find the
 // end of log, truncating any torn tail.
 func OpenFS(fsys vfs.FS, path string) (*Log, error) {
-	l := &Log{fsys: fsys, path: path}
+	l := &Log{fsys: fsys, path: path, Clock: itime.Real()}
 	if err := l.openCtl(); err != nil {
 		return nil, err
 	}
@@ -710,7 +715,7 @@ func (l *Log) SyncTo(lsn LSN) error {
 			l.gcLeader = true
 			l.gcMu.Unlock()
 			if l.CommitEvery > 0 {
-				time.Sleep(l.CommitEvery)
+				l.Clock.Sleep(context.Background(), l.CommitEvery)
 			} else {
 				// Give committers already on the run queue one scheduler pass
 				// to append before the round captures the buffer. A goroutine

@@ -95,6 +95,7 @@ func TestIsolationChecker(t *testing.T) {
 	t.Logf("seed=%d (override with IMMORTALDB_ISO_SEED)", seed)
 
 	db, _ := openTestDB(t, func(o *Options) {
+		o.Clock = pumpedClock(t)
 		o.LockTimeout = 500 * time.Millisecond
 	})
 	runIsolationCheck(t, db, seed)

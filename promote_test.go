@@ -14,9 +14,9 @@ import (
 	"immortaldb/internal/wal"
 )
 
-func promoteTestOpts() *Options {
+func promoteTestOpts(t *testing.T) *Options {
 	return &Options{
-		Clock:       testClock(),
+		Clock:       pumpedClock(t),
 		PageSize:    1024,
 		CacheFrames: 16,
 		LockTimeout: 500 * time.Millisecond,
@@ -27,7 +27,7 @@ func promoteTestOpts() *Options {
 // replica of it.
 func buildReplica(t *testing.T) (p, r *DB, tbl *Table, ts1 Timestamp) {
 	t.Helper()
-	p, err := Open(t.TempDir(), promoteTestOpts())
+	p, err := Open(t.TempDir(), promoteTestOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func buildReplica(t *testing.T) (p, r *DB, tbl *Table, ts1 Timestamp) {
 	commitKV(t, p, tbl, "alice", "150")
 	commitKV(t, p, tbl, "bob", "50")
 
-	r, err = OpenReplica(t.TempDir(), promoteTestOpts())
+	r, err = OpenReplica(t.TempDir(), promoteTestOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestDoublePromotionRefused(t *testing.T) {
 		t.Fatalf("refused promotion moved the epoch: %d -> %d", epoch, got)
 	}
 	// Promoting a never-replica primary is the same typed no-op.
-	p, err := Open(t.TempDir(), promoteTestOpts())
+	p, err := Open(t.TempDir(), promoteTestOpts(t))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -725,13 +725,6 @@ func (tx *Tx) Commit() error {
 		return err
 	}
 	tx.commitTS = ts
-	if db.opts.PTTSyncEveryCommit {
-		if err := db.stamp.SyncPTT(); err != nil {
-			// The commit itself is durable; only the PTT hardening failed.
-			db.degradeIf(err)
-			return err
-		}
-	}
 
 	db.commits.Add(1)
 	db.mu.Lock()
