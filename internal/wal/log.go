@@ -234,59 +234,20 @@ func (l *Log) writeCtlSlot(gen uint64, ckpt LSN, sync bool) error {
 	return nil
 }
 
-// openSegments discovers, orders and validates segment files. The first
-// segment with a bad header or a sequence/start discontinuity and everything
-// after it are deleted: a segment's header is made durable before any record
-// in it can be acked, so a torn header proves nothing beyond that rotation
-// point ever reached a committed acknowledgement.
+// openSegments loads the segment chain (loadChain) and deletes its dead
+// suffix: the first segment with a bad header or a sequence/start
+// discontinuity and everything after it.
 func (l *Log) openSegments() error {
-	names, err := l.fsys.List(l.path + ".")
+	segs, dead, err := loadChain(l.fsys, l.path)
 	if err != nil {
-		return fmt.Errorf("wal: list segments: %w", err)
+		return err
 	}
-	type cand struct {
-		seq  uint64
-		name string
-	}
-	var cands []cand
-	for _, name := range names {
-		if seq, ok := parseSegPath(l.path, name); ok {
-			cands = append(cands, cand{seq, name})
-		}
-	}
-	// List returns sorted names and seqs are fixed-width, so cands are in
-	// ascending seq order already; validate rather than assume.
-	for i := 1; i < len(cands); i++ {
-		if cands[i].seq <= cands[i-1].seq {
-			return fmt.Errorf("wal: segment listing out of order at %s", cands[i].name)
-		}
-	}
-	for i, c := range cands {
-		f, err := l.fsys.OpenFile(c.name)
-		if err != nil {
+	l.segs = segs
+	for _, name := range dead {
+		if err := l.fsys.Remove(name); err != nil {
 			l.closeSegs()
-			return fmt.Errorf("wal: open segment %s: %w", c.name, err)
+			return fmt.Errorf("wal: remove dead segment %s: %w", name, err)
 		}
-		hdr := make([]byte, segHeaderLen)
-		_, rerr := f.ReadAt(hdr, 0)
-		seq, start, derr := decodeSegHeader(hdr)
-		bad := rerr != nil && rerr != io.EOF || derr != nil || seq != c.seq
-		if !bad && len(l.segs) > 0 {
-			prev := l.segs[len(l.segs)-1]
-			bad = seq != prev.seq+1 || start <= prev.start
-		}
-		if bad {
-			// Drop this segment and all later ones.
-			f.Close()
-			for _, d := range cands[i:] {
-				if err := l.fsys.Remove(d.name); err != nil {
-					l.closeSegs()
-					return fmt.Errorf("wal: remove dead segment %s: %w", d.name, err)
-				}
-			}
-			break
-		}
-		l.segs = append(l.segs, &segment{seq: seq, start: start, f: f, path: c.name})
 	}
 	if len(l.segs) == 0 {
 		return l.addSegment(1, FirstLSN, false)
@@ -340,55 +301,33 @@ func (l *Log) segmentSize() int64 {
 // there; later segments cannot contain acked records — their syncs are
 // ordered after the failed range's — and are deleted.
 func (l *Log) scanSegments() error {
-	for i := 0; i < len(l.segs); i++ {
-		seg := l.segs[i]
-		var limit int64 // data bytes this segment may validly hold
-		if i+1 < len(l.segs) {
-			limit = int64(l.segs[i+1].start - seg.start)
-		} else {
-			size, err := seg.f.Size()
-			if err != nil {
-				return fmt.Errorf("wal: size %s: %w", seg.path, err)
-			}
-			limit = size - segHeaderLen
-		}
-		data, err := io.ReadAll(io.NewSectionReader(seg.f, segHeaderLen, limit))
-		if err != nil {
-			return fmt.Errorf("wal: read %s: %w", seg.path, err)
-		}
-		off := 0
-		for off < len(data) {
-			_, n, err := decodeRecord(data[off:])
-			if err != nil {
-				break
-			}
-			off += n
-		}
-		l.end = seg.start + LSN(off)
-		if off == len(data) && int64(off) == limit && i+1 < len(l.segs) {
-			continue // sealed segment fully valid; next segment picks up
-		}
-		// Torn tail or hole: the log ends here. Trim this file and drop any
-		// later segments.
-		if err := seg.f.Truncate(segHeaderLen + int64(off)); err != nil {
-			return fmt.Errorf("wal: truncate torn tail %s: %w", seg.path, err)
-		}
-		for _, dead := range l.segs[i+1:] {
-			dead.f.Close()
-			if err := l.fsys.Remove(dead.path); err != nil {
-				return fmt.Errorf("wal: remove dead segment %s: %w", dead.path, err)
-			}
-		}
-		l.segs = l.segs[:i+1]
-		break
+	end, err := fileEnd(l.segs)
+	if err != nil {
+		return err
 	}
+	if l.end, err = walk(l.segs, l.segs[0].start, end, nil); err != nil {
+		return err
+	}
+	// The segment holding the end is trimmed to it — the last one always
+	// (its preallocated tail is not log), an earlier one at a hole — and any
+	// later segments are dropped.
+	i := segIndex(l.segs, l.end)
+	seg := l.segs[i]
+	if err := seg.f.Truncate(segHeaderLen + int64(l.end-seg.start)); err != nil {
+		return fmt.Errorf("wal: truncate torn tail %s: %w", seg.path, err)
+	}
+	for _, dead := range l.segs[i+1:] {
+		dead.f.Close()
+		if err := l.fsys.Remove(dead.path); err != nil {
+			return fmt.Errorf("wal: remove dead segment %s: %w", dead.path, err)
+		}
+	}
+	l.segs = l.segs[:i+1]
 	return nil
 }
 
 func (l *Log) closeSegs() {
-	for _, seg := range l.segs {
-		seg.f.Close()
-	}
+	closeChain(l.segs)
 	l.segs = nil
 }
 
@@ -918,47 +857,11 @@ func (l *Log) Scan(from LSN, fn func(*Record) error) error {
 	end := l.end
 	segs := l.segs
 	l.mu.Unlock()
-	if from == 0 || from < FirstLSN {
-		from = FirstLSN
+	stop, err := walk(segs, from, end, fn)
+	if err == nil && stop < end {
+		err = fmt.Errorf("wal: scan at %d: %w", stop, ErrCorruptRecord)
 	}
-	if first := segs[0].start; from < first {
-		from = first
-	}
-	if from >= end {
-		return nil
-	}
-	for i := segIndex(segs, from); i < len(segs); i++ {
-		seg := segs[i]
-		lo := from
-		if seg.start > lo {
-			lo = seg.start
-		}
-		hi := end
-		if i+1 < len(segs) && segs[i+1].start < hi {
-			hi = segs[i+1].start
-		}
-		if lo >= hi {
-			continue
-		}
-		data, err := io.ReadAll(io.NewSectionReader(seg.f, segHeaderLen+int64(lo-seg.start), int64(hi-lo)))
-		if err != nil {
-			obs.IOError("read", vfs.ErrClass(err))
-			return fmt.Errorf("wal: scan read %s: %w", seg.path, err)
-		}
-		off := 0
-		for off < len(data) {
-			r, n, err := decodeRecord(data[off:])
-			if err != nil {
-				return fmt.Errorf("wal: scan at %d: %w", lo+LSN(off), err)
-			}
-			r.LSN = lo + LSN(off)
-			if err := fn(r); err != nil {
-				return err
-			}
-			off += n
-		}
-	}
-	return nil
+	return err
 }
 
 // Stats returns append and fsync counters.

@@ -10,6 +10,13 @@
 //   - Lazy timestamping is NOT logged. Stamped pages that reached disk keep
 //     their stamps; stamps lost in a crash are simply re-applied lazily from
 //     the PTT after restart — stamping is idempotent.
+//
+// Every reader of the segment chain goes through one loader and one walker
+// (segment.go). loadChain lists, orders and header-checks the segment files
+// and changes nothing; walk decodes the records of a range and returns where
+// it stopped. Open, Scan, ScanComplete, TrimIngestTail and the read-only
+// retained-chain readers behind point-in-time restore differ only in what
+// they do at that stop: truncate, fail, stop silently, fence, or cut.
 package wal
 
 import (

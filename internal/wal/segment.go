@@ -21,9 +21,11 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"strconv"
 	"strings"
 
+	"immortaldb/internal/obs"
 	"immortaldb/internal/storage/vfs"
 )
 
@@ -117,6 +119,127 @@ func parseSegPath(base, name string) (seq uint64, ok bool) {
 		return 0, false
 	}
 	return n, true
+}
+
+// loadChain opens the segment files of the log at path in seq order and
+// returns the longest valid chain. Each segment's header must decode and name
+// its file's seq, and each segment must continue the one before it: the next
+// seq, and a later start. The first segment that fails ends the chain — a
+// segment's header is durable before any record in it can be acked, so
+// nothing from there on was ever acknowledged — and it and every later file
+// are returned as dead, untouched. loadChain changes nothing at path: Open
+// deletes the dead suffix, read-only readers just skip it.
+func loadChain(fsys vfs.FS, path string) (segs []*segment, dead []string, err error) {
+	names, err := fsys.List(path + ".")
+	if err != nil {
+		return nil, nil, fmt.Errorf("wal: list segments: %w", err)
+	}
+	type cand struct {
+		seq  uint64
+		name string
+	}
+	var cands []cand
+	for _, name := range names {
+		if seq, ok := parseSegPath(path, name); ok {
+			cands = append(cands, cand{seq, name})
+		}
+	}
+	// List returns sorted names and seqs are fixed-width, so cands are in
+	// ascending seq order already; validate rather than assume.
+	for i := 1; i < len(cands); i++ {
+		if cands[i].seq <= cands[i-1].seq {
+			return nil, nil, fmt.Errorf("wal: segment listing out of order at %s", cands[i].name)
+		}
+	}
+	for i, c := range cands {
+		f, err := fsys.OpenFile(c.name)
+		if err != nil {
+			closeChain(segs)
+			return nil, nil, fmt.Errorf("wal: open segment %s: %w", c.name, err)
+		}
+		hdr := make([]byte, segHeaderLen)
+		_, rerr := f.ReadAt(hdr, 0)
+		seq, start, derr := decodeSegHeader(hdr)
+		bad := rerr != nil && rerr != io.EOF || derr != nil || seq != c.seq
+		if !bad && len(segs) > 0 {
+			prev := segs[len(segs)-1]
+			bad = seq != prev.seq+1 || start <= prev.start
+		}
+		if bad {
+			f.Close()
+			for _, d := range cands[i:] {
+				dead = append(dead, d.name)
+			}
+			break
+		}
+		segs = append(segs, &segment{seq: seq, start: start, f: f, path: c.name})
+	}
+	return segs, dead, nil
+}
+
+func closeChain(segs []*segment) {
+	for _, seg := range segs {
+		seg.f.Close()
+	}
+}
+
+// fileEnd is the LSN just past the last segment's file — where its records
+// must end at the latest. Only the last segment is measured by its size: a
+// sealed one was preallocated to full capacity, so its records end at the
+// next segment's start, wherever its zero tail runs to.
+func fileEnd(segs []*segment) (LSN, error) {
+	last := segs[len(segs)-1]
+	size, err := last.f.Size()
+	if err != nil {
+		return 0, fmt.Errorf("wal: size %s: %w", last.path, err)
+	}
+	return last.start + LSN(size-segHeaderLen), nil
+}
+
+// walk decodes the records of the chain segs in [from, end) in order,
+// calling fn (if non-nil) with each; from is clamped up to the first
+// retained byte. A segment's records end at the next segment's start, the
+// last segment's at end. walk returns the LSN it stopped at: end when every
+// byte decoded, otherwise the start of the first bytes that are not a whole
+// record — a torn tail, a hole in a sealed segment, a record still in
+// flight. What a stop short of end means is the caller's call. Read errors
+// and fn's errors end the walk and are returned.
+func walk(segs []*segment, from, end LSN, fn func(*Record) error) (LSN, error) {
+	if from < segs[0].start {
+		from = segs[0].start
+	}
+	at := from
+	for i := segIndex(segs, from); i < len(segs) && at < end; i++ {
+		seg := segs[i]
+		hi := end
+		if i+1 < len(segs) && segs[i+1].start < hi {
+			hi = segs[i+1].start
+		}
+		data, err := io.ReadAll(io.NewSectionReader(seg.f, segHeaderLen+int64(at-seg.start), int64(hi-at)))
+		if err != nil {
+			obs.IOError("read", vfs.ErrClass(err))
+			return at, fmt.Errorf("wal: read %s: %w", seg.path, err)
+		}
+		off := 0
+		for off < len(data) {
+			r, n, err := decodeRecord(data[off:])
+			if err != nil {
+				break
+			}
+			if fn != nil {
+				r.LSN = at + LSN(off)
+				if err := fn(r); err != nil {
+					return r.LSN, err
+				}
+			}
+			off += n
+		}
+		at += LSN(off)
+		if at < hi {
+			break
+		}
+	}
+	return at, nil
 }
 
 func encodeCtlSlot(gen uint64, ckpt LSN) []byte {

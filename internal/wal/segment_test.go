@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"immortaldb/internal/itime"
@@ -129,6 +130,60 @@ func TestTornTailInSealedSegmentDropsLaterSegments(t *testing.T) {
 	}
 	if err := l2.Flush(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRetainedReadersCrossRotations pins the extent rule for the read-only
+// readers: a sealed segment is preallocated to full capacity, so its records
+// end at the next segment's start, and its zero tail is not a torn tail.
+// ScanRetained must see every record Scan sees, and CopyRetained must copy
+// all of them.
+func TestRetainedReadersCrossRotations(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "wal.log")
+	l, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	l.SegmentSize = 256
+	for i := 0; i < 40; i++ {
+		if _, err := l.Append(fillRecord(uint64(i + 1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := l.SegmentCount(); n < 3 {
+		t.Fatalf("segments = %d, want several", n)
+	}
+	lsns := func(scan func(fn func(*Record) error) error) []LSN {
+		t.Helper()
+		var got []LSN
+		if err := scan(func(r *Record) error { got = append(got, r.LSN); return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return got
+	}
+	want := lsns(func(fn func(*Record) error) error { return l.Scan(0, fn) })
+	got := lsns(func(fn func(*Record) error) error { return ScanRetained(vfs.OS(), path, fn) })
+	if len(want) != 40 || !slices.Equal(got, want) {
+		t.Fatalf("ScanRetained LSNs %v, Scan %v", got, want)
+	}
+	if start, err := RetainedStart(vfs.OS(), path); err != nil || start != FirstLSN {
+		t.Fatalf("RetainedStart = %d, %v; want %d", start, err, FirstLSN)
+	}
+	dst, err := Open(filepath.Join(dir, "copy.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if err := CopyRetained(vfs.OS(), path, l.End(), dst); err != nil {
+		t.Fatal(err)
+	}
+	if copied := lsns(func(fn func(*Record) error) error { return dst.Scan(0, fn) }); !slices.Equal(copied, want) {
+		t.Fatalf("copied LSNs %v, want %v", copied, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"io"
 
 	"immortaldb/internal/storage/vfs"
 )
@@ -261,45 +260,12 @@ func (l *Log) TrimIngestTail(from LSN) (LSN, error) {
 	if len(l.buf) > 0 {
 		return 0, fmt.Errorf("wal: trim of a log with buffered appends")
 	}
-	if from < FirstLSN {
-		from = FirstLSN
-	}
-	if first := l.segs[0].start; from < first {
-		from = first
-	}
 	if from > l.end {
 		return 0, fmt.Errorf("wal: trim from %d past end %d", from, l.end)
 	}
-	boundary := from
-	for i := segIndex(l.segs, from); i < len(l.segs); i++ {
-		seg := l.segs[i]
-		lo := boundary
-		if seg.start > lo {
-			lo = seg.start
-		}
-		hi := l.end
-		if i+1 < len(l.segs) && l.segs[i+1].start < hi {
-			hi = l.segs[i+1].start
-		}
-		if lo >= hi {
-			continue
-		}
-		data, err := io.ReadAll(io.NewSectionReader(seg.f, segHeaderLen+int64(lo-seg.start), int64(hi-lo)))
-		if err != nil {
-			return 0, fmt.Errorf("wal: trim read %s: %w", seg.path, err)
-		}
-		off := 0
-		for off < len(data) {
-			_, n, derr := decodeRecord(data[off:])
-			if derr != nil {
-				break
-			}
-			off += n
-		}
-		boundary = lo + LSN(off)
-		if off < len(data) {
-			break // incomplete trailing record: the fence sits here
-		}
+	boundary, err := walk(l.segs, from, l.end, nil)
+	if err != nil {
+		return 0, err
 	}
 	if boundary < l.end {
 		seg := l.segs[segIndex(l.segs, boundary)]
@@ -363,189 +329,94 @@ func (l *Log) ScanComplete(from LSN, fn func(*Record) error) error {
 	end := l.end
 	segs := l.segs
 	l.mu.Unlock()
-	if from == 0 || from < FirstLSN {
-		from = FirstLSN
+	_, err := walk(segs, from, end, fn)
+	return err
+}
+
+// The three functions below read the retained chain at path without
+// opening, and therefore without changing, it: the chain is loaded by the
+// same loadChain as Open and walked by the same walk, minus Open's repairs.
+// A dead suffix is skipped, not deleted, and a torn tail is where history
+// ends, not an error. Point-in-time restore reads a source database — live or
+// crashed — through them, never touching its log or its control file.
+
+// openRetained loads the chain at path and returns it with the end of its
+// last segment's file.
+func openRetained(fsys vfs.FS, path string) ([]*segment, LSN, error) {
+	segs, _, err := loadChain(fsys, path)
+	if err != nil {
+		return nil, 0, err
 	}
-	if first := segs[0].start; from < first {
-		from = first
+	if len(segs) == 0 {
+		return nil, 0, fmt.Errorf("wal: no segments at %s", path)
 	}
-	if from >= end {
-		return nil
+	end, err := fileEnd(segs)
+	if err != nil {
+		closeChain(segs)
+		return nil, 0, err
 	}
-	for i := segIndex(segs, from); i < len(segs); i++ {
+	return segs, end, nil
+}
+
+// RetainedStart returns the first LSN of the oldest segment at path. It lets
+// restore verify the chain reaches back to the beginning of history before
+// replaying it.
+func RetainedStart(fsys vfs.FS, path string) (LSN, error) {
+	segs, _, err := openRetained(fsys, path)
+	if err != nil {
+		return 0, err
+	}
+	defer closeChain(segs)
+	return segs[0].start, nil
+}
+
+// ScanRetained calls fn with every record of the chain at path, in order,
+// up to its first undecodable byte; returning an error stops the scan.
+func ScanRetained(fsys vfs.FS, path string, fn func(*Record) error) error {
+	segs, end, err := openRetained(fsys, path)
+	if err != nil {
+		return err
+	}
+	defer closeChain(segs)
+	_, err = walk(segs, segs[0].start, end, fn)
+	return err
+}
+
+// CopyRetained copies the raw chain at path into dst — a fresh, empty log —
+// stopping at upto (an exclusive bound on a record boundary) or at the
+// chain's first undecodable byte, whichever comes first. The copy reproduces
+// the source's exact segment geometry via IngestChunk, so the destination is
+// byte-for-byte a prefix of the source. Point-in-time restore uses it to cut
+// a database's history at a chosen commit.
+func CopyRetained(fsys vfs.FS, path string, upto LSN, dst *Log) error {
+	const copyChunk = 1 << 20
+	segs, end, err := openRetained(fsys, path)
+	if err != nil {
+		return err
+	}
+	defer closeChain(segs)
+	if upto < end {
+		end = upto
+	}
+	if end, err = walk(segs, segs[0].start, end, nil); err != nil {
+		return err
+	}
+	for i, at := 0, segs[0].start; at < end; i++ {
 		seg := segs[i]
-		lo := from
-		if seg.start > lo {
-			lo = seg.start
-		}
 		hi := end
 		if i+1 < len(segs) && segs[i+1].start < hi {
 			hi = segs[i+1].start
 		}
-		if lo >= hi {
-			continue
-		}
-		data, err := io.ReadAll(io.NewSectionReader(seg.f, segHeaderLen+int64(lo-seg.start), int64(hi-lo)))
-		if err != nil {
-			return fmt.Errorf("wal: scan read %s: %w", seg.path, err)
-		}
-		off := 0
-		for off < len(data) {
-			r, n, err := decodeRecord(data[off:])
-			if err != nil {
-				return nil // incomplete trailing record: stop here
+		for at < hi {
+			buf := make([]byte, min(hi-at, copyChunk))
+			if _, err := seg.f.ReadAt(buf, segHeaderLen+int64(at-seg.start)); err != nil {
+				return fmt.Errorf("wal: copy read %s: %w", seg.path, err)
 			}
-			r.LSN = lo + LSN(off)
-			if err := fn(r); err != nil {
+			if err := dst.IngestChunk(ShipChunk{Seq: seg.seq, SegStart: seg.start, At: at, Data: buf}); err != nil {
 				return err
 			}
-			off += n
+			at += LSN(len(buf))
 		}
 	}
 	return nil
-}
-
-// CopyRetained copies the raw retained chain at path into dst — a fresh,
-// empty log — stopping at upto (an exclusive bound on a record boundary).
-// The copy reproduces the source's exact segment geometry via IngestChunk,
-// so the destination is byte-for-byte a prefix of the source. Point-in-time
-// restore uses it to cut a database's history at a chosen commit.
-func CopyRetained(fsys vfs.FS, path string, upto LSN, dst *Log) error {
-	const copyChunk = 1 << 20
-	stop := errors.New("stop")
-	_, err := walkRetained(fsys, path, nil, func(seq uint64, start LSN, valid []byte) error {
-		if start >= upto {
-			return stop
-		}
-		if end := start + LSN(len(valid)); end > upto {
-			valid = valid[:upto-start]
-		}
-		at := start
-		for len(valid) > 0 {
-			n := len(valid)
-			if n > copyChunk {
-				n = copyChunk
-			}
-			if err := dst.IngestChunk(ShipChunk{Seq: seq, SegStart: start, At: at, Data: valid[:n]}); err != nil {
-				return err
-			}
-			at += LSN(n)
-			valid = valid[n:]
-		}
-		if at >= upto {
-			return stop
-		}
-		return nil
-	})
-	if err == stop {
-		err = nil
-	}
-	return err
-}
-
-// ScanRetained reads the log rooted at path without opening (and therefore
-// without mutating) it: segment files are discovered, header-validated and
-// stream-decoded in place, and the scan simply stops at the first undecodable
-// byte — a torn tail is the end of history, not an error. fn receives every
-// record with its LSN; returning an error stops the scan.
-//
-// It is the read-only substrate for point-in-time restore, which must walk a
-// source database's chain without truncating its torn tail or touching its
-// control file.
-func ScanRetained(fsys vfs.FS, path string, fn func(*Record) error) error {
-	_, err := scanRetained(fsys, path, fn)
-	return err
-}
-
-// RetainedStart returns the first LSN of the oldest segment at path, again
-// without mutating anything. It lets restore verify the chain reaches back
-// to the beginning of history before replaying it.
-func RetainedStart(fsys vfs.FS, path string) (LSN, error) {
-	start, err := scanRetained(fsys, path, nil)
-	return start, err
-}
-
-func scanRetained(fsys vfs.FS, path string, fn func(*Record) error) (LSN, error) {
-	return walkRetained(fsys, path, fn, nil)
-}
-
-// walkRetained is the shared chain walk behind ScanRetained and CopyRetained:
-// recFn (if non-nil) gets every decodable record, segFn (if non-nil) gets
-// each segment's coordinates and decodable byte extent once it is known.
-func walkRetained(fsys vfs.FS, path string, recFn func(*Record) error, segFn func(seq uint64, start LSN, valid []byte) error) (LSN, error) {
-	names, err := fsys.List(path + ".")
-	if err != nil {
-		return 0, fmt.Errorf("wal: list segments: %w", err)
-	}
-	type cand struct {
-		seq  uint64
-		name string
-	}
-	var cands []cand
-	for _, name := range names {
-		if seq, ok := parseSegPath(path, name); ok {
-			cands = append(cands, cand{seq, name})
-		}
-	}
-	if len(cands) == 0 {
-		return 0, fmt.Errorf("wal: no segments at %s", path)
-	}
-	first := LSN(0)
-	var prevSeq uint64
-	var next LSN
-	for i, c := range cands {
-		f, err := fsys.OpenFile(c.name)
-		if err != nil {
-			return first, fmt.Errorf("wal: open segment %s: %w", c.name, err)
-		}
-		hdr := make([]byte, segHeaderLen)
-		_, rerr := f.ReadAt(hdr, 0)
-		seq, start, derr := decodeSegHeader(hdr)
-		if (rerr != nil && rerr != io.EOF) || derr != nil || seq != c.seq {
-			f.Close()
-			break // chain ends at the first bad header
-		}
-		if i == 0 {
-			first = start
-		} else if seq != prevSeq+1 || start != next {
-			f.Close()
-			break // discontinuity: everything from here was never acked
-		}
-		size, err := f.Size()
-		if err != nil {
-			f.Close()
-			return first, fmt.Errorf("wal: size %s: %w", c.name, err)
-		}
-		data, err := io.ReadAll(io.NewSectionReader(f, segHeaderLen, size-segHeaderLen))
-		f.Close()
-		if err != nil {
-			return first, fmt.Errorf("wal: read %s: %w", c.name, err)
-		}
-		off := 0
-		torn := false
-		for off < len(data) {
-			r, n, derr := decodeRecord(data[off:])
-			if derr != nil {
-				torn = true // torn tail: end of recoverable history
-				break
-			}
-			r.LSN = start + LSN(off)
-			if recFn != nil {
-				if err := recFn(r); err != nil {
-					return first, err
-				}
-			}
-			off += n
-		}
-		if segFn != nil {
-			if err := segFn(seq, start, data[:off]); err != nil {
-				return first, err
-			}
-		}
-		if torn {
-			return first, nil
-		}
-		prevSeq, next = seq, start+LSN(off)
-	}
-	return first, nil
 }
