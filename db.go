@@ -138,12 +138,6 @@ type Options struct {
 	// alternative filesystem — vfs.NewSim for crash testing. nil uses the
 	// real one; dir is then created on disk.
 	FS vfs.FS
-	// FullPageWrites logs a physical image of every page just before it is
-	// written in place, so recovery can repair a write torn mid-page by a
-	// crash (the same defense as PostgreSQL's full_page_writes). Off by
-	// default: it costs log volume, and tearing is still *detected* without
-	// it via page CRCs.
-	FullPageWrites bool
 	// DrainTimeout bounds how long Close waits for in-flight transaction
 	// operations (a commit mid-fsync, a scan mid-page) to finish before
 	// closing the files out from under them (default 15s). Transactions
@@ -474,21 +468,22 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 		obs.IOError("write", vfs.ErrClass(err))
 		db.degrade(err)
 	}
-	// A replica never appends to its log copy, so no full-page images are
-	// logged while the replica flag holds — the primary's own images in the
+	// Full-page writes: a physical image of every page is logged just
+	// before the page is written in place, so recovery can repair a write
+	// torn mid-page by a crash (PostgreSQL's full_page_writes defence).
+	// A replica never appends to its log copy, so no images are logged
+	// while the replica flag holds — the primary's own images in the
 	// shipped stream are what recovery's torn-page tolerance leans on. The
 	// check is dynamic, not an open-time branch, because Promote flips the
 	// flag mid-life: the promotion checkpoint's flushes (and everything
 	// after) must log images again, or a flush torn by a crash right after
 	// the failover would have no covering image in the redo scan window.
-	if o.FullPageWrites {
-		db.pool.PreWrite = func(id page.ID, buf []byte) (uint64, error) {
-			if db.replica.Load() {
-				return 0, nil
-			}
-			lsn, err := log.Append(&wal.Record{Type: wal.TypePageImage, Page: id, Img: buf})
-			return uint64(lsn), err
+	db.pool.PreWrite = func(id page.ID, buf []byte) (uint64, error) {
+		if db.replica.Load() {
+			return 0, nil
 		}
+		lsn, err := log.Append(&wal.Record{Type: wal.TypePageImage, Page: id, Img: buf})
+		return uint64(lsn), err
 	}
 	// Flush-triggered lazy timestamping (Section 2.2). The page's StampLSN
 	// must advance before NoteStamped, which may retire the VTT entries

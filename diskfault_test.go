@@ -20,7 +20,6 @@ func openSim(t *testing.T, fs *vfs.SimFS) *immortaldb.DB {
 		PageSize:       1024,
 		CacheFrames:    8,
 		FS:             fs,
-		FullPageWrites: true,
 		WALSegmentSize: 4096,
 		WALLowWater:    8192,
 	})
@@ -127,7 +126,6 @@ func TestENOSPCEscape(t *testing.T) {
 			PageSize:       1024,
 			CacheFrames:    8,
 			FS:             fs,
-			FullPageWrites: true,
 			WALSegmentSize: 4096,
 			WALLowWater:    96 << 10,
 		})

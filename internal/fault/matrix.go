@@ -178,11 +178,10 @@ var workloadStart = time.Date(2006, 4, 3, 12, 0, 0, 0, time.UTC)
 // fixed workload points so the I/O sequence remains deterministic.
 func (r *Result) options(fs *vfs.SimFS) *immortaldb.Options {
 	return &immortaldb.Options{
-		PageSize:       1024,
-		CacheFrames:    8,
-		Clock:          itime.NewSimClock(workloadStart),
-		FS:             fs,
-		FullPageWrites: true,
+		PageSize:    1024,
+		CacheFrames: 8,
+		Clock:       itime.NewSimClock(workloadStart),
+		FS:          fs,
 		// Small segments force frequent WAL rotation, so faults land inside
 		// segment creation and switch-over too.
 		WALSegmentSize: 4096,
