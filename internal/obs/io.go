@@ -33,12 +33,3 @@ func IOError(op, class string) {
 	}
 	c.Inc()
 }
-
-// IOErrorCount returns the counter value for one (op, class) cell; zero for
-// unknown cells. Tests use it to assert failures were attributed correctly.
-func IOErrorCount(op, class string) uint64 {
-	if c := ioErrors[[2]string{op, class}]; c != nil {
-		return c.Value()
-	}
-	return 0
-}

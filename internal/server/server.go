@@ -253,14 +253,6 @@ func (s *Server) Serve() error {
 	}
 }
 
-// ListenAndServe is Listen followed by Serve.
-func (s *Server) ListenAndServe(addr string) error {
-	if _, err := s.Listen(addr); err != nil {
-		return err
-	}
-	return s.Serve()
-}
-
 // connRetryAfter is the retry-after hint attached to connection-cap
 // refusals: long enough for a slot to open under churn, short enough that a
 // waiting client notices promptly.

@@ -102,9 +102,6 @@ func (p *DataPage) adjustUsed(delta int) {
 	}
 }
 
-// FitsIn reports whether the page marshals into pageSize bytes.
-func (p *DataPage) FitsIn(pageSize int) bool { return p.Used() <= pageSize }
-
 // NumKeys returns the number of distinct keys (slots) on the page.
 func (p *DataPage) NumKeys() int { return len(p.Slots) }
 

@@ -120,8 +120,3 @@ func (v *Version) size(noTail bool) int {
 	}
 	return n
 }
-
-// StartKnown reports whether the version's start time is known, i.e. it has
-// been stamped. Unstamped versions belong to in-flight (or just-committed,
-// not-yet-revisited) transactions.
-func (v *Version) StartKnown() bool { return v.Stamped }
