@@ -33,7 +33,6 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -187,14 +186,7 @@ func main() {
 	var httpSrv *http.Server
 	if *httpAddr != "" {
 		mux := http.NewServeMux()
-		mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-			writeMetrics(w, db.Stats(), srv.Stats())
-			// Histograms and gauges recorded by the obs layer (latency
-			// summaries, table sizes, span-derived data) follow the legacy
-			// engine counters; the name sets are disjoint.
-			obs.WriteMetrics(w)
-		})
+		mux.HandleFunc("/metrics", metricsHandler(srv, follower))
 		mux.HandleFunc("/debug/slowops", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
 			enc := json.NewEncoder(w)
@@ -307,48 +299,4 @@ wait:
 		logger.Fatalf("close: %v", err)
 	}
 	logger.Printf("closed cleanly")
-}
-
-// writeMetrics renders engine and server counters in Prometheus text
-// exposition format.
-func writeMetrics(w http.ResponseWriter, ds immortaldb.Stats, ss server.Stats) {
-	p := func(name string, help string, v any) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %v\n", name, help, name, name, v)
-	}
-	p("immortaldb_commits_total", "Committed transactions.", ds.Commits)
-	p("immortaldb_aborts_total", "Aborted transactions.", ds.Aborts)
-	p("immortaldb_open_txns", "Currently active transactions.", ds.OpenTxns)
-	p("immortaldb_vtt_backlog", "Volatile timestamp table entries awaiting lazy timestamping.", ds.VTTBacklog)
-	p("immortaldb_ptt_entries", "Persistent timestamp table entries.", ds.PTTEntries)
-	p("immortaldb_log_bytes", "Write-ahead log size in bytes.", ds.LogBytes)
-	p("immortaldb_log_appends_total", "Log records appended.", ds.LogAppends)
-	p("immortaldb_log_syncs_total", "Log fsyncs issued.", ds.LogSyncs)
-	p("immortaldb_grouped_commits_total", "Commit hardenings satisfied by another committer's fsync.", ds.GroupedCommits)
-	p("immortaldb_group_commit_batch_mean", "Mean commits hardened per fsync.", ds.MeanCommitBatch())
-	p("immortaldb_pager_reads_total", "Pages read from disk.", ds.PagerReads)
-	p("immortaldb_pager_writes_total", "Pages written to disk.", ds.PagerWrites)
-	p("immortaldb_cache_hits_total", "Buffer-pool hits.", ds.CacheHits)
-	p("immortaldb_cache_misses_total", "Buffer-pool misses.", ds.CacheMisses)
-	p("immortaldb_time_splits_total", "TSB time splits across all tables.", ds.TimeSplits)
-	p("immortaldb_key_splits_total", "TSB key splits across all tables.", ds.KeySplits)
-	p("immortaldb_chain_hops_total", "Version-chain hops during historical reads.", ds.ChainHops)
-	degraded := 0
-	if ds.Degraded {
-		degraded = 1
-	}
-	p("immortaldb_engine_degraded", "1 while the engine is read-only-degraded after an I/O failure.", degraded)
-	p("immortaldb_wal_segment_files", "Live WAL segment files.", ds.WALSegments)
-	p("immortald_conns_accepted_total", "Connections accepted.", ss.Accepted)
-	p("immortald_conns_refused_total", "Connections refused over the cap.", ss.Refused)
-	p("immortald_conns_active", "Connections currently open.", ss.ActiveConns)
-	p("immortald_requests_total", "Statements executed.", ss.Requests)
-	p("immortald_request_errors_total", "Statements answered with an error frame.", ss.Errors)
-	p("immortald_conn_panics_total", "Connection handlers killed by a panic.", ss.Panics)
-	p("immortald_admitted_total", "Requests admitted by the admission gate (0 when the gate is off).", ss.Admitted)
-	p("immortald_shed_total", "Requests shed by the admission gate with a retryable overload response.", ss.Shed)
-	draining := 0
-	if ss.Draining {
-		draining = 1
-	}
-	p("immortald_draining", "1 while a graceful shutdown is in progress.", draining)
 }

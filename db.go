@@ -52,7 +52,6 @@ var (
 	obsCkptLat      = obs.NewHistogram("immortaldb_checkpoint_seconds", "Latency of one checkpoint (PTT sync, flush-all, checkpoint record, PTT GC).", obs.LatencyBuckets)
 	obsStampFlush   = obs.NewCounter("immortaldb_stamp_flush_triggered_total", "Record versions stamped because their dirty page was being flushed.")
 	obsStampAccess  = obs.NewCounter("immortaldb_stamp_access_triggered_total", "Record versions stamped when a tree access visited their page.")
-	obsDegraded     = obs.NewGauge("immortaldb_degraded", "1 while the engine is read-only-degraded after an I/O failure, else 0.")
 	obsCkptTruncErr = obs.NewCounter("immortaldb_checkpoint_truncate_errors_total", "Failed attempts to delete dead WAL segments at a checkpoint (best-effort).")
 )
 
@@ -536,7 +535,6 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 		// low-water arming. Continuous redo starts at the recovery scan's
 		// end.
 		db.replayer = newLiveApplier(db)
-		obsDegraded.Set(0)
 		return db, nil
 	}
 	if err := db.Checkpoint(); err != nil {
@@ -561,8 +559,6 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 		db.histDone = make(chan struct{})
 		go db.compactorLoop(o.HistCompactEvery)
 	}
-	// A fresh open is healthy by construction: recovery re-read disk state.
-	obsDegraded.Set(0)
 	return db, nil
 }
 
@@ -586,7 +582,6 @@ func (db *DB) degrade(cause error) {
 		db.degCause = cause
 		db.degraded.Store(true)
 		db.pool.SetReadOnly(true)
-		obsDegraded.Set(1)
 	}
 	db.degMu.Unlock()
 }
@@ -1147,6 +1142,8 @@ type Stats struct {
 	PagerWrites    uint64
 	CacheHits      uint64
 	CacheMisses    uint64
+	// Evictions counts buffer-pool frames evicted to make room.
+	Evictions uint64
 	// TimeSplits, KeySplits and ChainHops aggregate tree activity across
 	// all tables.
 	TimeSplits uint64
@@ -1156,6 +1153,9 @@ type Stats struct {
 	// ErrDegraded); WALSegments counts live log segment files.
 	Degraded    bool
 	WALSegments int
+	// AppliedLSN is a replica's horizon: the end LSN of the last record
+	// continuous redo fully applied (0 on a database opened as a primary).
+	AppliedLSN uint64
 	// Cold history tier: live run files and their byte total, history pages
 	// migrated into runs, and completed CompactHistory passes.
 	HistRuns        int
@@ -1176,7 +1176,7 @@ func (s Stats) MeanCommitBatch() float64 {
 // Stats returns a snapshot of engine counters.
 func (db *DB) Stats() Stats {
 	r, w, _ := db.pager.Stats()
-	h, m, _, _ := db.pool.Stats()
+	h, m, ev, _ := db.pool.Stats()
 	appends, syncs := db.log.Stats()
 	st := Stats{
 		Commits:         db.commits.Load(),
@@ -1192,8 +1192,10 @@ func (db *DB) Stats() Stats {
 		PagerWrites:     w,
 		CacheHits:       h,
 		CacheMisses:     m,
+		Evictions:       ev,
 		Degraded:        db.degraded.Load(),
 		WALSegments:     db.log.SegmentCount(),
+		AppliedLSN:      db.appliedLSN.Load(),
 		PagesMigrated:   db.pagesMigrated.Load(),
 		HistCompactions: db.histCompactions.Load(),
 	}

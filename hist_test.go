@@ -412,12 +412,12 @@ func TestAsOfScanAcrossHotColdBoundary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := counterValue(t, "hist_cold_lookups_total")
+		before := counterValue(t, "immortaldb_hist_cold_lookups_total")
 		for k := 0; k < nKeys; k += 5 {
 			get(t, tx, coldTbl, key(k))
 		}
 		tx.Commit()
-		if asked := counterValue(t, "hist_cold_lookups_total") - before; asked > 0 && asked < nKeys/5 {
+		if asked := counterValue(t, "immortaldb_hist_cold_lookups_total") - before; asked > 0 && asked < nKeys/5 {
 			mixed++
 		}
 	}
@@ -427,7 +427,7 @@ func TestAsOfScanAcrossHotColdBoundary(t *testing.T) {
 		t.Fatal("no commit time at which some partitions are hot and others cold")
 	}
 
-	blocks := counterValue(t, "hist_blocks_read_total")
+	blocks := counterValue(t, "immortaldb_hist_blocks_read_total")
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
 		wg.Add(1)
@@ -458,7 +458,7 @@ func TestAsOfScanAcrossHotColdBoundary(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if counterValue(t, "hist_blocks_read_total") == blocks && obs.Enabled() {
+	if counterValue(t, "immortaldb_hist_blocks_read_total") == blocks && obs.Enabled() {
 		t.Fatal("the tiered scans read no cold block")
 	}
 	t.Logf("%d of %d commit times are split between hot and cold partitions", mixed, len(coldStamps))

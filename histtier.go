@@ -55,7 +55,7 @@ const histFanout = 4
 // Options.TieredHistory.
 var ErrTieredOff = errors.New("immortaldb: TieredHistory not enabled")
 
-var obsHistCompactLatency = obs.NewHistogram("hist_compaction_seconds",
+var obsHistCompactLatency = obs.NewHistogram("immortaldb_hist_compaction_seconds",
 	"Latency of full CompactHistory passes.", obs.LatencyBuckets)
 
 // treeHist adapts the engine's hist.Store to one tree's tsb.HistStore view.

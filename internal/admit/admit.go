@@ -151,18 +151,10 @@ func (e *OverloadError) Error() string {
 // Is reports errors.Is(err, ErrOverloaded) for every OverloadError.
 func (e *OverloadError) Is(target error) bool { return target == ErrOverloaded }
 
-var (
-	obsAdmitted = obs.NewCounter("immortald_admission_admitted_total",
-		"Requests admitted through the gate.")
-	obsShed = obs.NewCounter("immortald_admission_shed_total",
-		"Requests shed by the gate (quota, queue, or deadline).")
-	obsQueueDepth = obs.NewGauge("immortald_admission_queue_depth",
-		"Requests currently waiting for a concurrency slot.")
-	obsWait = obs.NewHistogram("immortald_admission_wait_seconds",
-		"Time admitted requests spent queued for a slot.", obs.LatencyBuckets)
-	obsLimit = obs.NewGauge("immortald_admission_limit",
-		"Current adaptive global concurrency limit.")
-)
+// obsWait is the queue-wait distribution; admission counts, queue depth and
+// the limit are per gate (Stats).
+var obsWait = obs.NewHistogram("immortald_admission_wait_seconds",
+	"Time admitted requests spent queued for a slot.", obs.LatencyBuckets)
 
 // Gate is the admission gate. One Gate serves one server; all methods are
 // safe for concurrent use.
@@ -214,7 +206,6 @@ func New(cfg Config) *Gate {
 		buckets: make(map[uint32]*bucket),
 		limit:   float64(cfg.Limit),
 	}
-	obsLimit.Set(int64(g.limit))
 	return g
 }
 
@@ -241,7 +232,6 @@ func (g *Gate) Admit(ctx context.Context, tenant uint32, pri Priority) (release 
 		g.inflight++
 		g.admitted++
 		g.mu.Unlock()
-		obsAdmitted.Inc()
 		return func() { g.release(start, true) }, nil
 	}
 
@@ -255,7 +245,6 @@ func (g *Gate) Admit(ctx context.Context, tenant uint32, pri Priority) (release 
 	}
 	w := &waiter{ch: make(chan struct{})}
 	g.queue = append(g.queue, w)
-	obsQueueDepth.Set(int64(len(g.queue)))
 	g.mu.Unlock()
 
 	timedOut := make(chan struct{})
@@ -279,7 +268,6 @@ func (g *Gate) Admit(ctx context.Context, tenant uint32, pri Priority) (release 
 		}
 		g.admitted++
 		g.mu.Unlock()
-		obsAdmitted.Inc()
 		obsWait.Observe(g.clock.Now().Sub(start).Seconds())
 		return func() { g.release(start, true) }, nil
 	}
@@ -294,9 +282,7 @@ func (g *Gate) Admit(ctx context.Context, tenant uint32, pri Priority) (release 
 // shedLocked counts one shed and releases the mutex.
 func (g *Gate) shedLocked(e *OverloadError) error {
 	g.shed++
-	obsQueueDepth.Set(int64(len(g.queue)))
 	g.mu.Unlock()
-	obsShed.Inc()
 	return e
 }
 
@@ -328,7 +314,6 @@ func (g *Gate) release(start time.Time, slot bool) {
 	if !handed {
 		g.inflight--
 	}
-	obsQueueDepth.Set(int64(len(g.queue)))
 	g.mu.Unlock()
 }
 
@@ -356,7 +341,6 @@ func (g *Gate) noteLatencyLocked(now time.Time, lat time.Duration) {
 	} else if g.inflight+len(g.queue) >= int(g.limit) {
 		g.limit = math.Min(float64(g.cfg.MaxLimit), g.limit+1/g.limit)
 	}
-	obsLimit.Set(int64(g.limit))
 }
 
 func (g *Gate) limitNow() int { return int(g.limit) }

@@ -20,12 +20,10 @@ import (
 	"immortaldb/internal/storage/page"
 )
 
-// Observability: cache effectiveness counters and the latency of writing a
-// dirty page out (pre-flush stamping + WAL force + physical write).
+// Observability: header-only chain reads and the latency of writing a dirty
+// page out (pre-flush stamping + WAL force + physical write). Hits, misses
+// and evictions are counted per pool (Stats).
 var (
-	obsHits        = obs.NewCounter("immortaldb_buffer_hits_total", "Buffer-pool fetches served from cache.")
-	obsMisses      = obs.NewCounter("immortaldb_buffer_misses_total", "Buffer-pool fetches that read from disk.")
-	obsEvictions   = obs.NewCounter("immortaldb_buffer_evictions_total", "Frames evicted to make room.")
 	obsHeaderReads = obs.NewCounter("immortaldb_buffer_header_reads_total",
 		"Pages a history-chain walk read from disk for their header alone, neither decoded nor installed.")
 	obsFlushLat = obs.NewHistogram("immortaldb_buffer_flush_seconds",
@@ -175,13 +173,11 @@ func (p *Pool) Fetch(id page.ID) (*Frame, error) {
 	defer p.mu.Unlock()
 	if f, ok := p.frames[id]; ok {
 		p.hits++
-		obsHits.Inc()
 		f.pins++
 		p.lru.MoveToFront(f.elem)
 		return f, nil
 	}
 	p.misses++
-	obsMisses.Inc()
 	buf, err := p.pager.ReadPage(id)
 	if err != nil {
 		return nil, err
@@ -210,7 +206,6 @@ func (p *Pool) Hop(id page.ID, stop func(startTS itime.Timestamp) bool) (next pa
 	defer p.mu.Unlock()
 	if f, ok := p.frames[id]; ok {
 		p.hits++
-		obsHits.Inc()
 		p.lru.MoveToFront(f.elem)
 		dp, ok := f.pg.(*page.DataPage)
 		if !ok {
@@ -244,7 +239,6 @@ func (p *Pool) Hop(id page.ID, stop func(startTS itime.Timestamp) bool) (next pa
 		return hist, nil, nil
 	}
 	p.misses++
-	obsMisses.Inc()
 	// The decoded page aliases the bytes it was decoded from, so the scratch
 	// buffer becomes the page's own and the next hop allocates another.
 	buf := p.scratch
@@ -317,7 +311,6 @@ func (p *Pool) evictIfFullLocked() error {
 		p.lru.Remove(victim.elem)
 		delete(p.frames, victim.id)
 		p.evictions++
-		obsEvictions.Inc()
 	}
 	return nil
 }

@@ -12,24 +12,20 @@ import (
 )
 
 var (
-	obsColdLookups = obs.NewCounter("hist_cold_lookups_total",
+	obsColdLookups = obs.NewCounter("immortaldb_hist_cold_lookups_total",
 		"Point lookups that consulted the cold run tier.")
-	obsColdHits = obs.NewCounter("hist_cold_hits_total",
+	obsColdHits = obs.NewCounter("immortaldb_hist_cold_hits_total",
 		"Cold-tier lookups that found a version.")
-	obsRunsProbed = obs.NewCounter("hist_runs_probed_total",
+	obsRunsProbed = obs.NewCounter("immortaldb_hist_runs_probed_total",
 		"Runs a cold read opened an iterator on after the key and time bounds of their manifest entry let them through.")
-	obsBlocksRead = obs.NewCounter("hist_blocks_read_total",
+	obsBlocksRead = obs.NewCounter("immortaldb_hist_blocks_read_total",
 		"Run blocks read, checksummed and decoded by cold reads.")
-	obsBlockBytes = obs.NewCounter("hist_block_bytes_read_total",
+	obsBlockBytes = obs.NewCounter("immortaldb_hist_block_bytes_read_total",
 		"Bytes of run blocks read by cold reads.")
-	obsRunsWritten = obs.NewCounter("hist_runs_written_total",
+	obsRunsWritten = obs.NewCounter("immortaldb_hist_runs_written_total",
 		"Run files written (migration and compaction).")
-	obsRunBytes = obs.NewCounter("hist_run_bytes_written_total",
+	obsRunBytes = obs.NewCounter("immortaldb_hist_run_bytes_written_total",
 		"Bytes of run files written.")
-	obsRunCount = obs.NewGauge("hist_runs",
-		"Live run files across all tables.")
-	obsColdBytes = obs.NewGauge("hist_cold_bytes",
-		"Bytes held in live cold-tier run files.")
 )
 
 // Store is a database's cold history tier: per-table sets of immutable run
@@ -227,7 +223,6 @@ func (s *Store) LoadTable(tid uint32) error {
 	s.tables[tid] = t
 	s.mu.Unlock()
 	closeTier(old)
-	s.refreshGauges()
 	return nil
 }
 
@@ -306,7 +301,6 @@ func (s *Store) swapTier(tid uint32, m Manifest) error {
 			}
 		}
 	}
-	s.refreshGaugesLocked()
 	return nil
 }
 
@@ -429,24 +423,6 @@ func (s *Store) Totals() (runs int, bytes uint64) {
 		}
 	}
 	return runs, bytes
-}
-
-func (s *Store) refreshGauges() {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.refreshGaugesLocked()
-}
-
-func (s *Store) refreshGaugesLocked() {
-	var runs, byteTotal int64
-	for _, t := range s.tables {
-		runs += int64(len(t.man.Runs))
-		for i := range t.man.Runs {
-			byteTotal += int64(t.man.Runs[i].Bytes)
-		}
-	}
-	obsRunCount.Set(runs)
-	obsColdBytes.Set(byteTotal)
 }
 
 // Close releases all open run readers.

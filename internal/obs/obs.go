@@ -1,10 +1,11 @@
 // Package obs is the engine's observability layer: dependency-free atomic
 // counters and gauges, fixed-bucket latency histograms (p50/p95/p99
 // derivable), and context-propagated trace spans feeding a ring-buffered
-// slow-op log. Every hot subsystem (WAL, buffer pool, timestamp manager,
-// TSB-tree, lock manager, serving layer) registers its metrics here at
-// package init; cmd/immortald renders the whole registry in Prometheus text
-// exposition format on /metrics and the slow-op ring on /debug/slowops.
+// slow-op log. Subsystems (WAL, buffer pool, TSB-tree, lock manager, serving
+// layer, cold tier) register their metrics here at package init;
+// cmd/immortald renders the registry in Prometheus text exposition format on
+// /metrics, after the families it reads from instance Stats, and the
+// slow-op ring on /debug/slowops.
 //
 // The layer is built to live on hot paths. Recording is a few atomic
 // operations behind one check of a constant: building with the `obsoff` tag
@@ -13,9 +14,12 @@
 // runtime switch.
 //
 // Metrics are process-global, like Prometheus default-registry collectors: a
-// process serving several DB instances aggregates them. Counters and
-// histograms are cumulative so aggregation is sound; instance-exact numbers
-// stay available via DB.Stats.
+// process serving several DB instances aggregates them. The registry
+// therefore holds only facts no instance counts, as cumulative counters and
+// histograms (where aggregation is sound) and the in-flight request gauge.
+// A fact an instance already counts — and every per-engine size or state —
+// is read from that instance's Stats, never mirrored here: a global gauge
+// holds whatever the last instance wrote.
 package obs
 
 import (

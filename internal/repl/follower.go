@@ -15,17 +15,9 @@ import (
 
 	"immortaldb"
 	"immortaldb/internal/itime"
-	"immortaldb/internal/obs"
 	"immortaldb/internal/storage/vfs"
 	"immortaldb/internal/wal"
 	"immortaldb/internal/wire"
-)
-
-// Follower observability: ingest volume and re-seed count; the applied-LSN
-// horizon gauge lives in the engine (immortaldb_replica_applied_lsn).
-var (
-	obsIngested = obs.NewCounter("immortald_follower_ingested_bytes_total", "Log bytes ingested from the primary.")
-	obsResyncs  = obs.NewCounter("immortald_follower_base_resyncs_total", "Times the follower was re-seeded from a base snapshot.")
 )
 
 // ReplError is an error frame the primary answered a replication request
@@ -377,7 +369,6 @@ func (f *Follower) session(ctx context.Context, once bool) error {
 			db = nil
 		}
 		f.resyncs.Add(1)
-		obsResyncs.Inc()
 		if err := f.installBase(ctx, nc, br); err != nil {
 			return err
 		}
@@ -444,7 +435,6 @@ func (f *Follower) ingest(db *immortaldb.DB, ch wire.SegChunk) error {
 		return err
 	}
 	f.ingested.Add(uint64(len(ch.Data)))
-	obsIngested.Add(uint64(len(ch.Data)))
 	_, err := db.ReplicaApply(0)
 	return err
 }
@@ -609,7 +599,6 @@ parts:
 			return abort(err)
 		}
 		f.ingested.Add(uint64(len(ch.Data)))
-		obsIngested.Add(uint64(len(ch.Data)))
 	}
 	return bi.Finish(ckptLSN)
 }

@@ -35,14 +35,11 @@ import (
 	"immortaldb/internal/wire"
 )
 
-// Observability: shipped volume, connected followers, and the lag gauge a
-// primary operator watches — the worst follower's distance behind the
-// durable log end, in bytes, as of its last horizon ack.
+// Observability: shipped volume and base snapshots. Connected followers and
+// the worst follower's lag are per shipper (Stats).
 var (
 	obsShippedBytes  = obs.NewCounter("immortald_repl_shipped_bytes_total", "Log bytes shipped to followers in segment chunks.")
 	obsBaseSnapshots = obs.NewCounter("immortald_repl_base_snapshots_total", "Base snapshots streamed to re-seed followers that fell behind retained history.")
-	obsFollowers     = obs.NewGauge("immortald_repl_followers", "Replication connections currently being served.")
-	obsMaxLag        = obs.NewGauge("immortald_repl_max_lag_bytes", "Largest follower lag: primary durable end minus the follower's last acked applied LSN.")
 )
 
 // basePartTarget is the byte budget one base-snapshot part aims for; a pull
@@ -105,19 +102,16 @@ func (s *Shipper) register() uint64 {
 	s.nextID++
 	id := s.nextID
 	s.acked[id] = 0
-	obsFollowers.Set(int64(len(s.acked)))
 	return id
 }
 
 func (s *Shipper) unregister(id uint64) {
 	s.mu.Lock()
 	delete(s.acked, id)
-	obsFollowers.Set(int64(len(s.acked)))
 	s.mu.Unlock()
-	s.updateLag()
 }
 
-// ack records a follower's applied LSN and refreshes the lag gauge.
+// ack records a follower's applied LSN.
 func (s *Shipper) ack(id, applied uint64) {
 	s.mu.Lock()
 	// A reconnecting follower can briefly ack an older LSN than a previous
@@ -126,15 +120,6 @@ func (s *Shipper) ack(id, applied uint64) {
 		s.acked[id] = applied
 	}
 	s.mu.Unlock()
-	s.updateLag()
-}
-
-func (s *Shipper) updateLag() {
-	if !obs.Enabled() {
-		return
-	}
-	_, lag := s.Stats()
-	obsMaxLag.Set(int64(lag))
 }
 
 // ServeConn runs one replication connection to completion: the follower's

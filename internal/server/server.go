@@ -28,14 +28,14 @@ import (
 	"immortaldb/internal/wire"
 )
 
-// Observability: request-path latency per verb, the in-flight gauge, and
-// the connection gauge. Exec latency covers statement execution plus the
-// response write — what a client actually waits for after the frame lands.
+// Observability: request-path latency per verb and the in-flight gauge.
+// Exec latency covers statement execution plus the response write — what a
+// client actually waits for after the frame lands. Connection counts are
+// per server (Stats).
 var (
 	obsExecLat  = obs.NewHistogram("immortald_exec_seconds", "Latency of one exec request: statement execution plus response write.", obs.LatencyBuckets)
 	obsPingLat  = obs.NewHistogram("immortald_ping_seconds", "Latency of one ping round trip (server side).", obs.LatencyBuckets)
 	obsInflight = obs.NewGauge("immortald_inflight_requests", "Requests currently executing across all connections.")
-	obsConns    = obs.NewGauge("immortald_open_connections", "Currently open client connections.")
 )
 
 // Config tunes the server. The zero value serves with the defaults below.
@@ -247,7 +247,6 @@ func (s *Server) Serve() error {
 		s.mu.Unlock()
 		s.accepted.Add(1)
 		s.active.Add(1)
-		obsConns.Inc()
 		s.wg.Add(1)
 		go c.serve()
 	}
@@ -410,7 +409,6 @@ func (s *Server) removeConn(c *conn) {
 	delete(s.conns, c)
 	s.mu.Unlock()
 	s.active.Add(-1)
-	obsConns.Dec()
 	s.wg.Done()
 }
 

@@ -13,19 +13,7 @@ import (
 
 	"immortaldb/internal/cow"
 	"immortaldb/internal/itime"
-	"immortaldb/internal/obs"
 	"immortaldb/internal/wal"
-)
-
-// Observability: table sizes as gauges (the paper's §5 growth curves live
-// here) plus stamping and GC progress counters. A process serving several
-// databases sees the last writer's sizes; counters aggregate.
-var (
-	obsVTTSize = obs.NewGauge("immortaldb_stamp_vtt_size", "Volatile timestamp table entries (commits awaiting lazy timestamping plus active writers).")
-	obsPTTSize = obs.NewGauge("immortaldb_stamp_ptt_size", "Persistent timestamp table entries.")
-	obsStamps  = obs.NewCounter("immortaldb_stamp_versions_total", "Record versions lazily timestamped.")
-	obsGCRuns  = obs.NewCounter("immortaldb_stamp_gc_runs_total", "Incremental PTT garbage-collection passes.")
-	obsGCFreed = obs.NewCounter("immortaldb_stamp_gc_removed_total", "PTT entries reclaimed by garbage collection.")
 )
 
 // PTTValueLen is the PTT entry payload: Ttime (8 bytes) + SN (4 bytes).
@@ -81,12 +69,6 @@ type Manager struct {
 	pttMaxCommitLSN wal.LSN
 
 	pttPuts, pttGets, pttDeletes, stamps, gcRuns uint64
-
-	// pttLen mirrors ptt.Len() so the size gauge never takes the tree's
-	// mutex on the commit path. It can drift one entry low if recovery
-	// re-inserts an existing TID (RestoreCommitted overwrite) — harmless
-	// for a gauge.
-	pttLen int64
 }
 
 // NewManager returns a Manager over the given PTT tree (which must have
@@ -95,19 +77,8 @@ func NewManager(ptt *cow.Tree) *Manager {
 	return &Manager{
 		vtt:       make(map[itime.TID]*vttEntry),
 		ptt:       ptt,
-		pttLen:    int64(ptt.Len()),
 		GCEnabled: true,
 	}
-}
-
-// noteSizesLocked refreshes the size gauges. Callers hold m.mu; the PTT
-// tree has its own synchronization and no path back into the manager.
-func (m *Manager) noteSizesLocked() {
-	if !obs.Enabled() {
-		return
-	}
-	obsVTTSize.Set(int64(len(m.vtt)))
-	obsPTTSize.Set(m.pttLen)
 }
 
 // Begin creates the VTT entry for a starting transaction (stage I): the TID
@@ -119,7 +90,6 @@ func (m *Manager) Begin(tid itime.TID, snapshot bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.vtt[tid] = &vttEntry{snapshot: snapshot}
-	m.noteSizesLocked()
 }
 
 // AddRef counts n freshly written, non-timestamped versions against the
@@ -162,7 +132,6 @@ func (m *Manager) Commit(tid itime.TID, ts itime.Timestamp, persistent bool, com
 		if e.refCount == 0 {
 			delete(m.vtt, tid)
 		}
-		m.noteSizesLocked()
 		return nil
 	}
 	var val [PTTValueLen]byte
@@ -171,7 +140,6 @@ func (m *Manager) Commit(tid itime.TID, ts itime.Timestamp, persistent bool, com
 		return fmt.Errorf("stamp: PTT insert for %d: %w", tid, err)
 	}
 	m.pttPuts++
-	m.pttLen++
 	if commitLSN > m.pttMaxCommitLSN {
 		m.pttMaxCommitLSN = commitLSN
 	}
@@ -180,7 +148,6 @@ func (m *Manager) Commit(tid itime.TID, ts itime.Timestamp, persistent bool, com
 		// eligible for GC as soon as the watermark passes.
 		e.doneLSN = endOfLog()
 	}
-	m.noteSizesLocked()
 	return nil
 }
 
@@ -214,14 +181,9 @@ func (m *Manager) UndoCommit(tid itime.TID) error {
 	e.ts = itime.Timestamp{}
 	e.doneLSN = 0
 	e.commitLSN = 0
-	if err := m.ptt.Delete(uint64(tid)); err != nil {
-		if !errors.Is(err, cow.ErrNotFound) {
-			return fmt.Errorf("stamp: PTT withdraw for %d: %w", tid, err)
-		}
-	} else {
-		m.pttLen--
+	if err := m.ptt.Delete(uint64(tid)); err != nil && !errors.Is(err, cow.ErrNotFound) {
+		return fmt.Errorf("stamp: PTT withdraw for %d: %w", tid, err)
 	}
-	m.noteSizesLocked()
 	return nil
 }
 
@@ -231,7 +193,6 @@ func (m *Manager) Abort(tid itime.TID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	delete(m.vtt, tid)
-	m.noteSizesLocked()
 }
 
 // Resolve maps a TID to its commit timestamp (stage IV support). ok is false
@@ -253,7 +214,6 @@ func (m *Manager) Resolve(tid itime.TID) (itime.Timestamp, bool) {
 	m.pttGets++
 	ts := itime.DecodeTimestamp(val)
 	m.vtt[tid] = &vttEntry{ts: ts, committed: true, refCount: refUndefined}
-	m.noteSizesLocked()
 	return ts, true
 }
 
@@ -288,7 +248,6 @@ func (m *Manager) NoteStamped(counts map[itime.TID]int, endOfLog func() wal.LSN)
 	defer m.mu.Unlock()
 	for tid, n := range counts {
 		m.stamps += uint64(n)
-		obsStamps.Add(uint64(n))
 		e, ok := m.vtt[tid]
 		if !ok || e.refCount == refUndefined {
 			continue
@@ -306,7 +265,6 @@ func (m *Manager) NoteStamped(counts map[itime.TID]int, endOfLog func() wal.LSN)
 			}
 		}
 	}
-	m.noteSizesLocked()
 }
 
 // RunGC deletes PTT (and VTT) entries whose timestamping completed and whose
@@ -321,7 +279,6 @@ func (m *Manager) RunGC(redoScanStart wal.LSN) (int, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.gcRuns++
-	obsGCRuns.Inc()
 	// Collect in TID order so PTT mutations — and therefore the I/O they
 	// cause — happen in a replayable sequence for crash-matrix tests.
 	eligible := make([]itime.TID, 0, len(m.vtt))
@@ -337,19 +294,13 @@ func (m *Manager) RunGC(redoScanStart wal.LSN) (int, error) {
 	sort.Slice(eligible, func(i, j int) bool { return eligible[i] < eligible[j] })
 	removed := 0
 	for _, tid := range eligible {
-		if err := m.ptt.Delete(uint64(tid)); err != nil {
-			if !errors.Is(err, cow.ErrNotFound) {
-				return removed, fmt.Errorf("stamp: PTT delete for %d: %w", tid, err)
-			}
-		} else {
-			m.pttLen--
+		if err := m.ptt.Delete(uint64(tid)); err != nil && !errors.Is(err, cow.ErrNotFound) {
+			return removed, fmt.Errorf("stamp: PTT delete for %d: %w", tid, err)
 		}
 		m.pttDeletes++
 		delete(m.vtt, tid)
 		removed++
 	}
-	obsGCFreed.Add(uint64(removed))
-	m.noteSizesLocked()
 	return removed, nil
 }
 
@@ -363,7 +314,6 @@ func (m *Manager) RestoreCommitted(tid itime.TID, ts itime.Timestamp, persistent
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.vtt[tid] = &vttEntry{ts: ts, committed: true, refCount: refUndefined}
-	defer m.noteSizesLocked()
 	if !persistent {
 		return nil
 	}
@@ -373,7 +323,6 @@ func (m *Manager) RestoreCommitted(tid itime.TID, ts itime.Timestamp, persistent
 		return fmt.Errorf("stamp: PTT restore for %d: %w", tid, err)
 	}
 	m.pttPuts++
-	m.pttLen++
 	return nil
 }
 

@@ -322,6 +322,7 @@ func (fs *SimFS) Reboot() {
 		}
 		f.data = survived
 		f.durable = append([]byte(nil), survived...)
+		f.synced = int64(len(survived))
 		f.dirty = make(map[int64]struct{})
 	}
 	fs.crashed = false
@@ -403,13 +404,16 @@ func (fs *SimFS) record(file, kind string, off, n int64) (int64, bool) {
 
 // simFile is one file on the simulated disk. data is the volatile view (what
 // reads observe while the machine is up); durable is the last synced image;
-// dirty marks sectors written since the last successful Sync.
+// dirty marks sectors written since the last successful Sync. durable and
+// data agree on their first synced bytes outside the dirty sectors, so Sync
+// copies only those sectors and the bytes past synced.
 type simFile struct {
 	fs      *SimFS
 	name    string
 	data    []byte
 	durable []byte
 	dirty   map[int64]struct{}
+	synced  int64
 }
 
 func (f *simFile) ReadAt(p []byte, off int64) (int, error) {
@@ -487,6 +491,9 @@ func (f *simFile) Sync() error {
 			// page cache but will NEVER reach the platter. A later Sync
 			// "succeeds" vacuously.
 			f.dirty = make(map[int64]struct{})
+			// The dropped sectors are no longer tracked, so the next
+			// successful Sync copies the whole file, dropped bytes included.
+			f.synced = 0
 		}
 		// Without DropDirty the sectors stay dirty: durability simply did
 		// not advance.
@@ -500,7 +507,13 @@ func (f *simFile) Sync() error {
 	if f.fs.syncErr[op] {
 		return ErrInjectedSync
 	}
-	f.durable = append(f.durable[:0], f.data...)
+	for s := range f.dirty {
+		if lo := s * SectorSize; lo < f.synced {
+			copy(f.durable[lo:min(lo+SectorSize, f.synced)], f.data[lo:])
+		}
+	}
+	f.durable = append(f.durable[:f.synced], f.data[f.synced:]...)
+	f.synced = int64(len(f.data))
 	f.dirty = make(map[int64]struct{})
 	return nil
 }
@@ -530,6 +543,7 @@ func (f *simFile) Truncate(size int64) error {
 	switch {
 	case size < int64(len(f.data)):
 		f.data = f.data[:size]
+		f.synced = min(f.synced, size)
 		for s := range f.dirty {
 			if s*SectorSize >= size {
 				delete(f.dirty, s)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -243,4 +245,105 @@ func TestOSFSImplements(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSimSyncMatchesFullCopy drives seeded write/truncate/sync/crash/reboot
+// sequences, fsyncgate drops and injected sync errors included, and checks
+// after every step that each file's durable image is byte-identical to the
+// full-copy rule: a successful Sync makes the whole volatile image durable,
+// and Reboot keeps the durable image plus each dirty sector the seeded
+// generator lets through.
+func TestSimSyncMatchesFullCopy(t *testing.T) {
+	names := []string{"a", "b"}
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		fs := NewSim(seed)
+		files := map[string]*simFile{}
+		model := map[string][]byte{}
+		for _, name := range names {
+			f, err := fs.OpenFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[name] = f.(*simFile)
+		}
+		for step := 0; step < 400; step++ {
+			name := names[r.Intn(len(names))]
+			f := files[name]
+			sync := func() {
+				if f.Sync() == nil {
+					model[name] = append([]byte(nil), f.data...)
+				}
+			}
+			switch k := r.Intn(20); {
+			case k < 9:
+				p := make([]byte, 1+r.Intn(3*SectorSize))
+				r.Read(p)
+				f.WriteAt(p, r.Int63n(16*SectorSize))
+			case k < 12:
+				f.Truncate(r.Int63n(20 * SectorSize))
+			case k < 16:
+				sync()
+			case k == 16:
+				fs.InjectFault(Fault{Op: OpSync, File: name, Count: 1, DropDirty: true})
+				sync()
+			case k == 17:
+				fs.InjectSyncError(fs.OpCount() + 1)
+				sync()
+			case k == 18:
+				fs.SetCrashAt(fs.OpCount() + 1 + r.Int63n(4))
+			default:
+				fs.Crash()
+			}
+			if fs.Crashed() {
+				want := fullCopyReboot(fs, model)
+				fs.Reboot()
+				for n, img := range want {
+					if !bytes.Equal(files[n].data, img) {
+						t.Fatalf("seed %d step %d: %s after reboot differs from the full-copy model", seed, step, n)
+					}
+				}
+			}
+			for _, n := range names {
+				if !bytes.Equal(files[n].durable, model[n]) {
+					t.Fatalf("seed %d step %d: %s durable image differs from the full-copy model", seed, step, n)
+				}
+			}
+		}
+	}
+}
+
+// fullCopyReboot resolves a crash the way Reboot does, but from the model's
+// durable images; it sets model to the surviving images and returns them.
+func fullCopyReboot(fs *SimFS, model map[string][]byte) map[string][]byte {
+	rng := rand.New(rand.NewSource(fs.seed*1_000_003 + fs.ops))
+	names := make([]string, 0, len(fs.files))
+	for name := range fs.files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		f := fs.files[name]
+		survived := append([]byte(nil), model[name]...)
+		sectors := make([]int64, 0, len(f.dirty))
+		for s := range f.dirty {
+			sectors = append(sectors, s)
+		}
+		sort.Slice(sectors, func(i, j int) bool { return sectors[i] < sectors[j] })
+		for _, s := range sectors {
+			if rng.Intn(2) == 0 {
+				continue
+			}
+			lo, hi := s*SectorSize, min((s+1)*SectorSize, int64(len(f.data)))
+			if lo >= hi {
+				continue
+			}
+			if hi > int64(len(survived)) {
+				survived = append(survived, make([]byte, hi-int64(len(survived)))...)
+			}
+			copy(survived[lo:hi], f.data[lo:hi])
+		}
+		model[name] = survived
+	}
+	return model
 }

@@ -189,7 +189,6 @@ func (t *Tree) readViaChain(key []byte, ts itime.Timestamp, self itime.TID) (Res
 // and next is its history pointer.
 func (t *Tree) hop(id page.ID, ts itime.Timestamp) (next page.ID, f *buffer.Frame, err error) {
 	t.chainHops.Add(1)
-	obsChainHopsAll.Inc()
 	return t.cfg.Pool.Hop(id, func(startTS itime.Timestamp) bool { return !ts.Less(startTS) })
 }
 
@@ -284,7 +283,6 @@ func (t *Tree) LatestInfo(key []byte, since itime.Timestamp) (ts itime.Timestamp
 			return itime.Timestamp{}, 0, false, false, err
 		}
 		t.chainHops.Add(1)
-		obsChainHopsAll.Inc()
 		dp = lf.Data()
 		if dp == nil {
 			t.cfg.Pool.Release(lf)

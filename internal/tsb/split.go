@@ -152,7 +152,6 @@ func (t *Tree) timeSplitLeaf(path []pathEntry, lf *buffer.Frame, splitTS itime.T
 		return err
 	}
 	t.timeSplits.Add(1)
-	obsTimeSplits.Inc()
 
 	pages := []any{hist, dp}
 	var parent *buffer.Frame
@@ -229,7 +228,6 @@ func (t *Tree) keySplitLeaf(path []pathEntry, lf *buffer.Frame) error {
 		return err
 	}
 	t.keySplits.Add(1)
-	obsKeySplits.Inc()
 
 	leftE := page.IndexEntry{R: t.currentRect(dp), Child: dp.ID, Leaf: true}
 	rightE := page.IndexEntry{R: t.currentRect(right), Child: rightID, Leaf: true}

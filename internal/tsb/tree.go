@@ -30,15 +30,10 @@ import (
 	"immortaldb/internal/storage/page"
 )
 
-// Observability: split kinds and history-chain traversal cost. The hop
-// histogram records pages visited per chain read (0 = answered from the
-// current page), the shape behind the paper's Figure 9 read penalty.
-var (
-	obsTimeSplits    = obs.NewCounter("immortaldb_tsb_time_splits_total", "TSB-tree time splits (historical page migrations).")
-	obsKeySplits     = obs.NewCounter("immortaldb_tsb_key_splits_total", "TSB-tree key splits of current pages.")
-	obsChainHopsAll  = obs.NewCounter("immortaldb_tsb_chain_hops_total", "History-chain pages visited across all operations.")
-	obsChainReadHops = obs.NewHistogram("immortaldb_tsb_chain_hops", "History-chain pages visited per chain read.", obs.CountBuckets)
-)
+// Observability: the hop histogram records pages visited per chain read (0 =
+// answered from the current page), the shape behind the paper's Figure 9
+// read penalty. Split and hop totals are counted per tree (Snapshot).
+var obsChainReadHops = obs.NewHistogram("immortaldb_tsb_chain_hops", "History-chain pages visited per chain read.", obs.CountBuckets)
 
 // Mode selects the historical access path.
 type Mode int

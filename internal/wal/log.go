@@ -28,8 +28,6 @@ var (
 		"Latency of one WAL fsync.", obs.LatencyBuckets)
 	obsGroupBatch = obs.NewHistogram("immortaldb_wal_group_batch",
 		"Commit hardenings per group-commit flush round (leader plus joined followers).", obs.CountBuckets)
-	obsSegments = obs.NewGauge("immortaldb_wal_segments",
-		"Live WAL segment files (grows on rotation, shrinks on checkpoint truncation).")
 )
 
 // FirstLSN is the LSN of the first record ever appended. LSNs are logical
@@ -158,7 +156,6 @@ func OpenFS(fsys vfs.FS, path string) (*Log, error) {
 	}
 	l.bufStart = l.end
 	l.flushed = l.end
-	obsSegments.Set(int64(len(l.segs)))
 	return l, nil
 }
 
@@ -284,7 +281,6 @@ func (l *Log) addSegment(seq uint64, start LSN, preallocate bool) error {
 		return abort("sync", err)
 	}
 	l.segs = append(l.segs, &segment{seq: seq, start: start, f: f, path: path, prealloc: preallocate})
-	obsSegments.Set(int64(len(l.segs)))
 	return nil
 }
 
@@ -772,7 +768,6 @@ func (l *Log) TruncateBefore(bound LSN) error {
 		seg.f.Close()
 		l.segs = l.segs[1:]
 	}
-	obsSegments.Set(int64(len(l.segs)))
 	return nil
 }
 

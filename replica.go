@@ -24,10 +24,7 @@ import (
 // is ordinary recovery, and catch-up after any interruption just resumes
 // ingesting at the copy's end.
 
-var (
-	obsReplApplied = obs.NewCounter("immortaldb_replica_records_applied_total", "Log records applied by replica continuous redo.")
-	obsReplHorizon = obs.NewGauge("immortaldb_replica_applied_lsn", "Replication horizon: end LSN of the last fully applied record.")
-)
+var obsReplApplied = obs.NewCounter("immortaldb_replica_records_applied_total", "Log records applied by replica continuous redo.")
 
 // OpenReplica opens a database directory holding a replica's log copy and
 // page state, recovers it to the horizon its local log supports, and starts
@@ -111,10 +108,7 @@ func (db *DB) replicaApplyLocked(limit int) (int, error) {
 		}
 		applied++
 		db.appliedLSN.Store(uint64(rec.EndLSN()))
-		if obs.Enabled() {
-			obsReplApplied.Inc()
-			obsReplHorizon.Set(int64(rec.EndLSN()))
-		}
+		obsReplApplied.Inc()
 		if limit > 0 && applied >= limit {
 			return errPauseApply
 		}
