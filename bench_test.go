@@ -139,7 +139,7 @@ func BenchmarkAblationEagerVsLazy(b *testing.B) {
 			name = "eager"
 		}
 		b.Run(name, func(b *testing.B) {
-			e, _ := prepEnv(b, true, func(o *immortaldb.Options) { o.EagerTimestamping = eager })
+			e, _ := prepEnv(b, true, func(o *immortaldb.Options) { o.Ablation.EagerTimestamping = eager })
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				oneRecordTxn(b, e, i)
@@ -164,7 +164,7 @@ func BenchmarkAblationChainVsTSB(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			e, err := repro.NewEnv(o, true, func(op *immortaldb.Options) { op.HistoricalIndex = mode })
+			e, err := repro.NewEnv(o, true, func(op *immortaldb.Options) { op.Ablation.HistoricalIndex = mode })
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -204,7 +204,7 @@ func BenchmarkAblationPTTGC(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			e, _ := prepEnv(b, true, func(o *immortaldb.Options) {
-				o.DisablePTTGC = !gc
+				o.Ablation.DisablePTTGC = !gc
 				o.CheckpointEveryN = 500
 			})
 			b.ResetTimer()
@@ -224,7 +224,7 @@ func BenchmarkAblationThreshold(b *testing.B) {
 		b.Run(fmt.Sprintf("T=%.1f", t), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				e, err := repro.NewEnv(benchOpts(), true, func(o *immortaldb.Options) { o.Threshold = t })
+				e, err := repro.NewEnv(benchOpts(), true, func(o *immortaldb.Options) { o.Ablation.Threshold = t })
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -293,35 +293,26 @@ func BenchmarkSnapshotIsolation(b *testing.B) {
 }
 
 // BenchmarkCommitThroughput measures durable single-record commits as the
-// client count grows, under the group-commit dispatcher and the serial
-// one-fsync-per-commit baseline (experiment C1). Unlike the other benchmarks
-// fsync stays ON — the shared sync is the effect under test. The reported
-// ns/op is per commit regardless of the client count.
+// client count grows under group commit (experiment C1); clients=1 is the
+// serial reference, one fsync per commit. Unlike the other benchmarks fsync
+// stays ON — the shared sync is the effect under test. The reported ns/op is
+// per commit regardless of the client count.
 func BenchmarkCommitThroughput(b *testing.B) {
-	for _, mode := range []immortaldb.GroupCommitMode{immortaldb.GroupCommitOn, immortaldb.GroupCommitOff} {
-		name := "group"
-		if mode == immortaldb.GroupCommitOff {
-			name = "serial"
-		}
-		for _, clients := range []int{1, 2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/clients=%d", name, clients), func(b *testing.B) {
-				e, err := repro.NewEnv(benchOpts(), true, func(o *immortaldb.Options) {
-					o.NoSync = false
-					o.GroupCommit = mode
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer e.Close()
-				b.ResetTimer()
-				sec, commits, err := repro.CommitStorm(e, clients, b.N)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(commits)/sec, "commits/s")
-			})
-		}
+	for _, clients := range []int{1, 2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
+			e, err := repro.NewEnv(benchOpts(), true, func(o *immortaldb.Options) { o.NoSync = false })
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer e.Close()
+			b.ResetTimer()
+			sec, commits, err := repro.CommitStorm(e, clients, b.N)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(commits)/sec, "commits/s")
+		})
 	}
 }
 

@@ -29,7 +29,7 @@ func main() {
 	switch *index {
 	case "chain":
 	case "tsb":
-		mutate = func(o *immortaldb.Options) { o.HistoricalIndex = immortaldb.IndexTSB }
+		mutate = func(o *immortaldb.Options) { o.Ablation.HistoricalIndex = immortaldb.IndexTSB }
 	default:
 		fmt.Fprintln(os.Stderr, "benchfig6: -index must be chain or tsb")
 		os.Exit(2)

@@ -189,7 +189,7 @@ func TestChainVsTSBDifferential(t *testing.T) {
 	for mi, mode := range []IndexMode{IndexChain, IndexTSB} {
 		rngW := rand.New(rand.NewSource(123)) // same workload both modes
 		db, _ := openTestDB(t, func(o *Options) {
-			o.HistoricalIndex = mode
+			o.Ablation.HistoricalIndex = mode
 			o.PageSize = 1024
 		})
 		tbl, _ := db.CreateTable("t", TableOptions{Immortal: true})

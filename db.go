@@ -80,14 +80,14 @@ const (
 var indexModeNames = [...]string{IndexChain: "chain", IndexTSB: "tsb"}
 
 // indexMode is the historical index mode t was created in. A catalog entry
-// written before the mode was recorded opens in Options.HistoricalIndex.
+// written before the mode was recorded opens in Ablation.HistoricalIndex.
 func (db *DB) indexMode(t *catalog.Table) tsb.Mode {
 	for m, name := range indexModeNames {
 		if t.HistIndex == name {
 			return tsb.Mode(m)
 		}
 	}
-	return tsb.Mode(db.opts.HistoricalIndex)
+	return tsb.Mode(db.opts.Ablation.HistoricalIndex)
 }
 
 // Options configure Open. The zero value (or nil) gives an 8 KB-page,
@@ -101,35 +101,18 @@ type Options struct {
 	// default (false) gives durable commits; benchmarks set it to measure
 	// engine CPU and buffer behaviour rather than disk latency.
 	NoSync bool
-	// HistoricalIndex selects IndexChain (default) or IndexTSB for tables
-	// created from now on. A table's catalog entry records its mode, so a
-	// reopen under a different setting still reads it in its own.
-	HistoricalIndex IndexMode
-	// Threshold is the time-split utilization threshold T (default 0.70).
-	Threshold float64
 	// Clock is the engine's one clock: commit timestamps draw its 20 ms
 	// wall ticks, and lock waits, the group-commit window, the history
 	// compactor and Close's drain all wait on it. nil uses itime.Real(), the
 	// OS clock; an itime.SimClock runs the engine on virtual time.
 	Clock itime.Timeline
-	// DisablePTTGC turns off incremental timestamp-table garbage collection
-	// (ablation A3).
-	DisablePTTGC bool
-	// EagerTimestamping stamps versions at commit, with logging, instead of
-	// lazily (ablation A1 — the alternative Section 2.2 argues against).
-	EagerTimestamping bool
 	// CheckpointEveryN takes an automatic checkpoint every N committed
 	// transactions (0 disables; checkpoints can always be taken manually).
 	CheckpointEveryN int
-	// GroupCommit controls the WAL group-commit dispatcher: when on (the
-	// zero value), concurrent committers that reach the fsync together
-	// share a single one — a leader syncs the batched commit records while
-	// the others wait on the result. GroupCommitOff reverts to one fsync
-	// per commit.
-	GroupCommit GroupCommitMode
 	// CommitEvery bounds how long a group-commit leader waits before
 	// syncing, letting more committers join its batch at the cost of added
-	// commit latency (0, the default, syncs immediately).
+	// commit latency (0, the default, syncs immediately). Concurrent
+	// committers that reach the fsync together always share a single one.
 	CommitEvery time.Duration
 	// LockTimeout bounds lock waits (default 10s).
 	LockTimeout time.Duration
@@ -178,6 +161,31 @@ type Options struct {
 	// CompactHistory can always be called manually — crash and chaos tests
 	// rely on that for determinism. Effective only with TieredHistory.
 	HistCompactEvery time.Duration
+	// Ablation holds the design alternatives the paper measures and rejects.
+	// Production callers leave it zero.
+	Ablation Ablation
+}
+
+// Ablation selects the paper's rejected or deferred design alternatives, so
+// that its experiments can be reproduced. None is a deployment setting: the
+// zero value is the paper's chosen design, and only the engine's own tests,
+// internal/repro and cmd/benchfig6 set a field (TestAblationsStayFenced).
+type Ablation struct {
+	// EagerTimestamping stamps versions at commit, with logging, instead of
+	// lazily (ablation A1 — the alternative Section 2.2 argues against).
+	EagerTimestamping bool
+	// DisablePTTGC turns off incremental timestamp-table garbage collection
+	// (ablation A3, Section 2.2).
+	DisablePTTGC bool
+	// HistoricalIndex selects IndexChain (default) or IndexTSB for tables
+	// created from now on (Sections 3.4 and 5.2). A table's catalog entry
+	// records its mode, so a reopen under a different setting still reads it
+	// in its own.
+	HistoricalIndex IndexMode
+	// Threshold is the key-split threshold T (default 0.70, Section 3.3): a
+	// page still fuller than T of its size after a time split is key-split
+	// too.
+	Threshold float64
 }
 
 func (o *Options) withDefaults() Options {
@@ -191,8 +199,8 @@ func (o *Options) withDefaults() Options {
 	if out.CacheFrames == 0 {
 		out.CacheFrames = 1024
 	}
-	if out.Threshold == 0 {
-		out.Threshold = tsb.DefaultThreshold
+	if out.Ablation.Threshold == 0 {
+		out.Ablation.Threshold = tsb.DefaultThreshold
 	}
 	if out.Clock == nil {
 		out.Clock = itime.Real()
@@ -200,16 +208,18 @@ func (o *Options) withDefaults() Options {
 	return out
 }
 
-// GroupCommitMode toggles WAL group commit. The zero value is on.
-type GroupCommitMode int
-
-// Group-commit modes.
-const (
-	// GroupCommitOn batches concurrent commit fsyncs (the default).
-	GroupCommitOn GroupCommitMode = iota
-	// GroupCommitOff gives every commit its own fsync.
-	GroupCommitOff
-)
+// dirFS returns the filesystem that database directory dir lives on: FS, or
+// the real one with dir created. Paths on a simulated FS are pure names; only
+// the real one needs the directory to exist.
+func (o *Options) dirFS(dir string) (vfs.FS, error) {
+	if o.FS != nil {
+		return o.FS, nil
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("immortaldb: create %s: %w", dir, err)
+	}
+	return vfs.OS(), nil
+}
 
 // DefaultDrainTimeout is Options.DrainTimeout's default.
 const DefaultDrainTimeout = 15 * time.Second
@@ -375,17 +385,12 @@ func Open(dir string, opts *Options) (*DB, error) {
 
 func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 	o := opts.withDefaults()
-	if o.TieredHistory && o.HistoricalIndex == IndexTSB {
+	if o.TieredHistory && o.Ablation.HistoricalIndex == IndexTSB {
 		return nil, fmt.Errorf("immortaldb: TieredHistory requires IndexChain (TSB mode indexes history in place)")
 	}
-	fsys := o.FS
-	if fsys == nil {
-		// Paths on a simulated FS are pure names; only the real one needs
-		// the directory to exist.
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("immortaldb: create %s: %w", dir, err)
-		}
-		fsys = vfs.OS()
+	fsys, err := o.dirFS(dir)
+	if err != nil {
+		return nil, err
 	}
 	pager, err := disk.OpenFS(fsys, filepath.Join(dir, pagesFile), o.PageSize)
 	if err != nil {
@@ -397,7 +402,6 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 		return nil, err
 	}
 	log.NoSync = o.NoSync
-	log.GroupCommit = o.GroupCommit != GroupCommitOff
 	log.CommitEvery = o.CommitEvery
 	log.Clock = o.Clock
 	if o.WALSegmentSize > 0 {
@@ -443,7 +447,7 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 		log.Seal()
 	}
 	db.opDone = sync.NewCond(&db.mu)
-	db.stamp.GCEnabled = !o.DisablePTTGC
+	db.stamp.GCEnabled = !o.Ablation.DisablePTTGC
 	// PTT write-ahead: the PTT file must never harden a TID→TS mapping whose
 	// commit record is still in the unsynced log tail (recovery would stamp a
 	// loser's versions from it).
@@ -711,7 +715,7 @@ func (db *DB) treeConfig(t *catalog.Table) tsb.Config {
 		Logger:    &treeLogger{db: db, tableID: t.ID},
 		Stamper:   &treeStamper{db: db},
 		Mode:      db.indexMode(t),
-		Threshold: db.opts.Threshold,
+		Threshold: db.opts.Ablation.Threshold,
 		Immortal:  t.Immortal,
 		NoTail:    !t.Versioned(),
 		SplitNow: func() itime.Timestamp {
@@ -803,7 +807,7 @@ func (db *DB) CreateTable(name string, topts TableOptions) (*Table, error) {
 		Immortal:  topts.Immortal,
 		Snapshot:  topts.Snapshot,
 		Columns:   topts.Columns,
-		HistIndex: indexModeNames[db.opts.HistoricalIndex],
+		HistIndex: indexModeNames[db.opts.Ablation.HistoricalIndex],
 	})
 	if err != nil {
 		return nil, err
@@ -925,17 +929,7 @@ func (db *DB) Checkpoint() error {
 	db.commitMu.Unlock()
 	sort.Slice(att, func(i, j int) bool { return att[i].TID < att[j].TID })
 
-	// PTT entries for commits already in the log must be durable before the
-	// checkpoint can move the redo scan start past those commit records.
-	if err := db.stamp.SyncPTT(); err != nil {
-		db.degradeIf(err)
-		return err
-	}
-	if err := db.saveCatalogMeta(); err != nil {
-		db.degradeIf(err)
-		return err
-	}
-	if err := db.pool.FlushAll(true); err != nil {
+	if err := db.hardenForCheckpoint(); err != nil {
 		db.degradeIf(err)
 		return err
 	}
@@ -956,17 +950,42 @@ func (db *DB) Checkpoint() error {
 		db.degradeIf(err)
 		return err
 	}
-	if err := db.log.SetCheckpoint(lsn); err != nil {
+	// Everything below the redo scan start is unreachable by recovery, but
+	// live transactions may still walk their PrevLSN chains back for undo,
+	// so the truncation bound also covers their first records.
+	redoStart := ck.RedoScanStart(lsn)
+	bound := redoStart
+	if undoFloor != 0 && undoFloor < bound {
+		bound = undoFloor
+	}
+	if err := db.installCheckpoint(lsn, redoStart, bound); err != nil {
 		db.degradeIf(err)
 		return err
 	}
-	// Reclaim dead log segments: everything below the redo scan start is
-	// unreachable by recovery, but live transactions may still walk their
-	// PrevLSN chains back for undo, so the floor also covers their first
-	// records. This is how a full disk gets space back.
-	bound := ck.RedoScanStart(lsn)
-	if undoFloor != 0 && undoFloor < bound {
-		bound = undoFloor
+	return nil
+}
+
+// hardenForCheckpoint makes durable everything a checkpoint record is about
+// to vouch for: the PTT entries of commits already in the log (before the
+// redo scan start can move past those commit records), the catalog, and
+// every dirty page.
+func (db *DB) hardenForCheckpoint() error {
+	if err := db.stamp.SyncPTT(); err != nil {
+		return err
+	}
+	if err := db.saveCatalogMeta(); err != nil {
+		return err
+	}
+	return db.pool.FlushAll(true)
+}
+
+// installCheckpoint points the log at the checkpoint record at lsn, whose
+// redo scan starts at redoStart, then reclaims what that leaves dead: log
+// segments below bound (unless RetainWAL) — this is how a full disk gets
+// space back — and the PTT entries of commits before redoStart (Section 2.2).
+func (db *DB) installCheckpoint(lsn, redoStart, bound wal.LSN) error {
+	if err := db.log.SetCheckpoint(lsn); err != nil {
+		return err
 	}
 	if !db.opts.RetainWAL {
 		// Open base snapshots pin the chain too: a follower seeded from one
@@ -987,16 +1006,10 @@ func (db *DB) Checkpoint() error {
 		}
 		db.retainMu.Unlock()
 	}
-	// GC with the new redo scan start point.
-	if _, err := db.stamp.RunGC(ck.RedoScanStart(lsn)); err != nil {
-		db.degradeIf(err)
+	if _, err := db.stamp.RunGC(redoStart); err != nil {
 		return err
 	}
-	if err := db.stamp.SyncPTT(); err != nil {
-		db.degradeIf(err)
-		return err
-	}
-	return nil
+	return db.stamp.SyncPTT()
 }
 
 // Close shuts the database down cleanly: new Begin calls fail with

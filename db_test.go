@@ -704,7 +704,7 @@ func TestPTTGarbageCollection(t *testing.T) {
 }
 
 func TestPTTGCDisabled(t *testing.T) {
-	db, _ := openTestDB(t, func(o *Options) { o.DisablePTTGC = true })
+	db, _ := openTestDB(t, func(o *Options) { o.Ablation.DisablePTTGC = true })
 	tbl, _ := db.CreateTable("t", TableOptions{Immortal: true})
 	for i := 0; i < 50; i++ {
 		set(t, db, tbl, "k", fmt.Sprintf("v%d", i))
@@ -717,7 +717,7 @@ func TestPTTGCDisabled(t *testing.T) {
 }
 
 func TestEagerTimestampingMode(t *testing.T) {
-	db, _ := openTestDB(t, func(o *Options) { o.EagerTimestamping = true })
+	db, _ := openTestDB(t, func(o *Options) { o.Ablation.EagerTimestamping = true })
 	tbl, _ := db.CreateTable("t", TableOptions{Immortal: true})
 	var times []Timestamp
 	for i := 0; i < 60; i++ {
@@ -746,7 +746,7 @@ func TestEagerTimestampingMode(t *testing.T) {
 
 func TestEagerModeCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
-	opts := testOpts(func(o *Options) { o.EagerTimestamping = true })
+	opts := testOpts(func(o *Options) { o.Ablation.EagerTimestamping = true })
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -775,7 +775,7 @@ func TestEagerModeCrashRecovery(t *testing.T) {
 }
 
 func TestTSBIndexMode(t *testing.T) {
-	db, _ := openTestDB(t, func(o *Options) { o.HistoricalIndex = IndexTSB })
+	db, _ := openTestDB(t, func(o *Options) { o.Ablation.HistoricalIndex = IndexTSB })
 	tbl, _ := db.CreateTable("t", TableOptions{Immortal: true})
 	var times []Timestamp
 	for i := 0; i < 200; i++ {
@@ -802,7 +802,7 @@ func TestIndexModeSurvivesReopen(t *testing.T) {
 	}{{"chain-as-tsb", IndexChain, IndexTSB}, {"tsb-as-chain", IndexTSB, IndexChain}} {
 		t.Run(c.name, func(t *testing.T) {
 			dir := t.TempDir()
-			db, err := Open(dir, testOpts(func(o *Options) { o.HistoricalIndex = c.create }))
+			db, err := Open(dir, testOpts(func(o *Options) { o.Ablation.HistoricalIndex = c.create }))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -814,7 +814,7 @@ func TestIndexModeSurvivesReopen(t *testing.T) {
 			if err := db.Close(); err != nil {
 				t.Fatal(err)
 			}
-			db, err = Open(dir, testOpts(func(o *Options) { o.HistoricalIndex = c.reopen }))
+			db, err = Open(dir, testOpts(func(o *Options) { o.Ablation.HistoricalIndex = c.reopen }))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -513,7 +513,7 @@ func TestTieredHistoryRetention(t *testing.T) {
 func TestTieredHistoryBackgroundCompactor(t *testing.T) {
 	db, _ := openTestDB(t, tieredOpts(func(o *Options) {
 		o.HistCompactEvery = 5 * time.Millisecond
-		o.Threshold = 4
+		o.Ablation.Threshold = 4
 	}))
 	tbl, _ := db.CreateTable("objects", TableOptions{Immortal: true})
 	for i := 0; i < 60; i++ {
@@ -539,7 +539,7 @@ func TestTieredHistoryBackgroundCompactor(t *testing.T) {
 func TestTieredHistoryRejectsTSBMode(t *testing.T) {
 	_, err := Open(t.TempDir(), testOpts(func(o *Options) {
 		o.TieredHistory = true
-		o.HistoricalIndex = IndexTSB
+		o.Ablation.HistoricalIndex = IndexTSB
 	}))
 	if err == nil {
 		t.Fatal("TieredHistory with IndexTSB must refuse to open")

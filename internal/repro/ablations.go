@@ -35,7 +35,7 @@ func RunEagerVsLazy(o Options) ([]EagerRow, error) {
 	var out []EagerRow
 	for _, eager := range []bool{false, true} {
 		e, err := NewEnv(o, true, func(op *immortaldb.Options) {
-			op.EagerTimestamping = eager
+			op.Ablation.EagerTimestamping = eager
 		})
 		if err != nil {
 			return nil, err
@@ -95,7 +95,7 @@ func RunChainVsTSB(o Options, pcts []int) ([]IndexRow, error) {
 	var out []IndexRow
 	for _, mode := range []immortaldb.IndexMode{immortaldb.IndexChain, immortaldb.IndexTSB} {
 		e, err := NewEnv(o, true, func(op *immortaldb.Options) {
-			op.HistoricalIndex = mode
+			op.Ablation.HistoricalIndex = mode
 		})
 		if err != nil {
 			return nil, err
@@ -187,7 +187,7 @@ func RunPTTGC(o Options) ([]GCRow, error) {
 	var out []GCRow
 	for _, gc := range []bool{true, false} {
 		e, err := NewEnv(o, true, func(op *immortaldb.Options) {
-			op.DisablePTTGC = !gc
+			op.Ablation.DisablePTTGC = !gc
 		})
 		if err != nil {
 			return nil, err
@@ -247,7 +247,7 @@ func RunThreshold(o Options, ts []float64) ([]ThresholdRow, error) {
 	for _, t := range ts {
 		t := t
 		e, err := NewEnv(o, true, func(op *immortaldb.Options) {
-			op.Threshold = t
+			op.Ablation.Threshold = t
 		})
 		if err != nil {
 			return nil, err

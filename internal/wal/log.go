@@ -90,10 +90,6 @@ type Log struct {
 	// NoSync skips fsync on Flush; used by benchmarks where the paper's
 	// workload measures CPU and buffer behaviour rather than disk latency.
 	NoSync bool
-	// GroupCommit makes SyncTo share fsyncs between concurrent committers: a
-	// leader flushes through the highest pending LSN while followers park,
-	// then everyone whose record is covered wakes. Must be set before use.
-	GroupCommit bool
 	// CommitEvery bounds the extra latency a group-commit leader adds waiting
 	// for followers to join its fsync. Zero (the default) never waits: the
 	// leader flushes immediately, and batching arises from committers that
@@ -604,16 +600,13 @@ func (l *Log) FlushTo(lsn LSN) error {
 }
 
 // SyncTo makes the record at lsn durable — the commit path's durability
-// point. With GroupCommit off it is FlushTo. With it on, concurrent callers
-// elect a leader: the leader (optionally waiting CommitEvery for more
-// committers to append) runs one flush round covering everything appended so
-// far, while followers park; when the round ends, every caller whose record
-// it covered returns on that single shared fsync, and anyone left over
-// competes to lead the next round.
+// point. Concurrent callers share fsyncs (group commit): they elect a
+// leader, which (optionally waiting CommitEvery for more committers to
+// append) runs one flush round covering everything appended so far, while
+// followers park; when the round ends, every caller whose record it covered
+// returns on that single shared fsync, and anyone left over competes to lead
+// the next round. A lone caller leads a round of its own.
 func (l *Log) SyncTo(lsn LSN) error {
-	if !l.GroupCommit {
-		return l.FlushTo(lsn)
-	}
 	l.gcMu.Lock()
 	if l.gcCond == nil {
 		l.gcCond = sync.NewCond(&l.gcMu)

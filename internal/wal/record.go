@@ -318,7 +318,8 @@ func (r *Record) encode(dst []byte) []byte {
 }
 
 // decodeRecord parses one record from the front of b. It returns the record
-// and its total length, or ErrCorruptRecord.
+// and its total length, or ErrCorruptRecord. The record shares no memory
+// with b, so b may be reused for the next record.
 func decodeRecord(b []byte) (*Record, int, error) {
 	if len(b) < recHeaderLen {
 		return nil, 0, fmt.Errorf("%w: short header", ErrCorruptRecord)

@@ -17,11 +17,13 @@ package wal
 // from the front, which is how the engine gives space back to a full disk.
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -196,45 +198,62 @@ func fileEnd(segs []*segment) (LSN, error) {
 	return last.start + LSN(size-segHeaderLen), nil
 }
 
+// walkReadAhead is the read size of a segment walk. Records are decoded one
+// at a time from a stream, so a walk reads at most this far past the last
+// record — not through a preallocated segment's zero tail.
+const walkReadAhead = 64 << 10
+
 // walk decodes the records of the chain segs in [from, end) in order,
 // calling fn (if non-nil) with each; from is clamped up to the first
 // retained byte. A segment's records end at the next segment's start, the
 // last segment's at end. walk returns the LSN it stopped at: end when every
 // byte decoded, otherwise the start of the first bytes that are not a whole
 // record — a torn tail, a hole in a sealed segment, a record still in
-// flight. What a stop short of end means is the caller's call. Read errors
-// and fn's errors end the walk and are returned.
+// flight, a preallocated zero tail. What a stop short of end means is the
+// caller's call. Read errors and fn's errors end the walk and are returned.
 func walk(segs []*segment, from, end LSN, fn func(*Record) error) (LSN, error) {
 	if from < segs[0].start {
 		from = segs[0].start
 	}
 	at := from
+	var buf []byte // one record at a time: decodeRecord copies out what it keeps
 	for i := segIndex(segs, from); i < len(segs) && at < end; i++ {
 		seg := segs[i]
 		hi := end
 		if i+1 < len(segs) && segs[i+1].start < hi {
 			hi = segs[i+1].start
 		}
-		data, err := io.ReadAll(io.NewSectionReader(seg.f, segHeaderLen+int64(at-seg.start), int64(hi-at)))
-		if err != nil {
-			obs.IOError("read", vfs.ErrClass(err))
-			return at, fmt.Errorf("wal: read %s: %w", seg.path, err)
-		}
-		off := 0
-		for off < len(data) {
-			r, n, err := decodeRecord(data[off:])
+		rd := bufio.NewReaderSize(io.NewSectionReader(seg.f, segHeaderLen+int64(at-seg.start), int64(hi-at)), walkReadAhead)
+		for at < hi {
+			// Read a record only if its length prefix is plausible.
+			prefix, err := rd.Peek(4)
+			if err == nil {
+				total := int(binary.BigEndian.Uint32(prefix))
+				if total < recHeaderLen || total > MaxRecordLen || LSN(total) > hi-at {
+					break
+				}
+				buf = slices.Grow(buf[:0], total)[:total]
+				_, err = io.ReadFull(rd, buf)
+			}
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				break
+			}
+			if err != nil {
+				obs.IOError("read", vfs.ErrClass(err))
+				return at, fmt.Errorf("wal: read %s: %w", seg.path, err)
+			}
+			r, n, err := decodeRecord(buf)
 			if err != nil {
 				break
 			}
 			if fn != nil {
-				r.LSN = at + LSN(off)
+				r.LSN = at
 				if err := fn(r); err != nil {
 					return r.LSN, err
 				}
 			}
-			off += n
+			at += LSN(n)
 		}
-		at += LSN(off)
 		if at < hi {
 			break
 		}

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"immortaldb/internal/itime"
@@ -184,6 +186,82 @@ func TestRetainedReadersCrossRotations(t *testing.T) {
 	}
 	if copied := lsns(func(fn func(*Record) error) error { return dst.Scan(0, fn) }); !slices.Equal(copied, want) {
 		t.Fatalf("copied LSNs %v, want %v", copied, want)
+	}
+}
+
+// readCountFS counts the bytes read from WAL segment files.
+type readCountFS struct {
+	vfs.FS
+	segBytes atomic.Int64
+}
+
+type readCountFile struct {
+	vfs.File
+	n *atomic.Int64 // nil for files that are not segments
+}
+
+func (fs *readCountFS) OpenFile(name string) (vfs.File, error) {
+	f, err := fs.FS.OpenFile(name)
+	rf := readCountFile{File: f}
+	if strings.Contains(name, "wal.log.") {
+		rf.n = &fs.segBytes
+	}
+	return rf, err
+}
+
+func (f readCountFile) ReadAt(p []byte, off int64) (int, error) {
+	n, err := f.File.ReadAt(p, off)
+	if f.n != nil {
+		f.n.Add(int64(n))
+	}
+	return n, err
+}
+
+// TestReopenReadsRecordsNotPreallocatedTail: the active segment is
+// preallocated to the full default segment size on its first append, and
+// Close leaves it so. Reopening must read the few records in it, not the
+// megabytes of zeros behind them.
+func TestReopenReadsRecordsNotPreallocatedTail(t *testing.T) {
+	fs := &readCountFS{FS: vfs.NewSim(1)}
+	l, err := OpenFS(fs, "db/wal.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 5; i++ {
+		if _, err := l.Append(fillRecord(uint64(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := fs.OpenFile(segPath("db/wal.log", 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size, _ := seg.Size(); size < DefaultSegmentSize {
+		t.Fatalf("segment is %d bytes: want it preallocated to %d, or the test shows nothing", size, DefaultSegmentSize)
+	}
+	seg.Close()
+
+	fs.segBytes.Store(0)
+	l, err = OpenFS(fs, "db/wal.log")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	if got := fs.segBytes.Load(); got >= 1<<20 {
+		t.Fatalf("reopen read %d bytes of segment data for 5 records, want < 1 MiB", got)
+	}
+	n := 0
+	if err := l.Scan(FirstLSN, func(*Record) error { n++; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if n != 5 {
+		t.Fatalf("reopened log holds %d records, want 5", n)
 	}
 }
 

@@ -3,7 +3,6 @@ package immortaldb
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"immortaldb/internal/cow"
@@ -168,28 +167,14 @@ func (db *DB) replicaCheckpoint(rec *wal.Record) error {
 	if err := db.log.SyncIngested(); err != nil {
 		return err
 	}
-	if err := db.stamp.SyncPTT(); err != nil {
+	if err := db.hardenForCheckpoint(); err != nil {
 		return err
 	}
-	if err := db.saveCatalogMeta(); err != nil {
-		return err
-	}
-	if err := db.pool.FlushAll(true); err != nil {
-		return err
-	}
-	if err := db.log.SetCheckpoint(rec.LSN); err != nil {
-		return err
-	}
-	scanStart := ck.RedoScanStart(rec.LSN)
-	if !db.opts.RetainWAL {
-		if err := db.log.TruncateBefore(scanStart); err != nil {
-			obsCkptTruncErr.Inc()
-		}
-	}
-	if _, err := db.stamp.RunGC(scanStart); err != nil {
-		return err
-	}
-	return db.stamp.SyncPTT()
+	// A replica has no local transactions to undo and no base snapshots
+	// (NewBaseSnapshot refuses on one), so nothing holds the truncation
+	// bound below the redo scan start.
+	redoStart := ck.RedoScanStart(rec.LSN)
+	return db.installCheckpoint(rec.LSN, redoStart, redoStart)
 }
 
 // Promote flips a replica to a read-write primary: continuous redo finishes
@@ -430,12 +415,9 @@ type BaseInstaller struct {
 // install sized to the snapshot's page geometry.
 func InstallBase(dir string, opts *Options, pageSize int, numPages uint64, meta []byte) (*BaseInstaller, error) {
 	o := opts.withDefaults()
-	fsys := o.FS
-	if fsys == nil {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("immortaldb: create %s: %w", dir, err)
-		}
-		fsys = vfs.OS()
+	fsys, err := o.dirFS(dir)
+	if err != nil {
+		return nil, err
 	}
 	// A half-synced previous copy must not shine through the new one: remove
 	// every file under the directory prefix. The trailing separator matters —

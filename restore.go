@@ -2,11 +2,9 @@ package immortaldb
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 
 	"immortaldb/internal/itime"
-	"immortaldb/internal/storage/vfs"
 	"immortaldb/internal/wal"
 )
 
@@ -31,12 +29,9 @@ func ParseAsOf(s string) (Timestamp, error) { return itime.ParseAsOf(s) }
 // exactly the committed state at ts.
 func RestoreAsOf(srcDir, dstDir string, ts Timestamp, opts *Options) error {
 	o := opts.withDefaults()
-	fsys := o.FS
-	if fsys == nil {
-		if err := os.MkdirAll(dstDir, 0o755); err != nil {
-			return fmt.Errorf("immortaldb: create %s: %w", dstDir, err)
-		}
-		fsys = vfs.OS()
+	fsys, err := o.dirFS(dstDir)
+	if err != nil {
+		return err
 	}
 	srcLog := filepath.Join(srcDir, walFile)
 	start, err := wal.RetainedStart(fsys, srcLog)
@@ -90,4 +85,73 @@ func RestoreAsOf(srcDir, dstDir string, ts Timestamp, opts *Options) error {
 		return fmt.Errorf("immortaldb: restore replay: %w", err)
 	}
 	return db.Close()
+}
+
+// ExportAsOf materializes the database state as of ts into a fresh database
+// at dir — the restore path of the paper's "query-able backup", one of its
+// "Next Steps" (Section 7.2 / [22]): the historical versions double as an
+// always-online, incrementally-maintained backup from which any past state
+// can be extracted. Only immortal tables are exported (conventional tables
+// have no past states to restore). The export carries the state, not the
+// history: it is a conventional point-in-time restore. RestoreAsOf is its
+// sibling that replays the log instead and keeps the history up to ts.
+func (db *DB) ExportAsOf(ts Timestamp, dir string) error {
+	out, err := Open(dir, &Options{
+		PageSize:    db.opts.PageSize,
+		CacheFrames: db.opts.CacheFrames,
+		NoSync:      db.opts.NoSync,
+		Clock:       db.opts.Clock,
+	})
+	if err != nil {
+		return err
+	}
+	defer out.Close()
+
+	db.mu.Lock()
+	tables := db.cat.List()
+	db.mu.Unlock()
+	for _, meta := range tables {
+		if !meta.Immortal {
+			continue
+		}
+		src, err := db.Table(meta.Name)
+		if err != nil {
+			return err
+		}
+		dst, err := out.CreateTable(meta.Name, TableOptions{
+			Immortal: true,
+			Columns:  meta.Columns,
+		})
+		if err != nil {
+			return err
+		}
+		srcTx, err := db.BeginAsOfTS(ts)
+		if err != nil {
+			return err
+		}
+		dstTx, err := out.Begin(Serializable)
+		if err != nil {
+			srcTx.Commit()
+			return err
+		}
+		var copyErr error
+		err = srcTx.Scan(src, nil, nil, func(k, v []byte) bool {
+			if copyErr = dstTx.Set(dst, k, v); copyErr != nil {
+				return false
+			}
+			return true
+		})
+		srcTx.Commit()
+		if err == nil {
+			err = copyErr
+		}
+		if err != nil {
+			dstTx.Rollback()
+			return fmt.Errorf("immortaldb: export of %s: %w", meta.Name, err)
+		}
+		if err := dstTx.Commit(); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -573,6 +573,72 @@ func (tx *Tx) Scan(t *Table, lo, hi []byte, fn func(key, value []byte) bool) err
 	return nil
 }
 
+// ErrTimestampOrder reports that a transaction which fixed its timestamp via
+// CurrentTime touched data committed after that timestamp; committing it
+// would violate timestamp/serialization agreement, so it must abort.
+var ErrTimestampOrder = errors.New("immortaldb: access conflicts with the transaction's already-chosen CURRENT TIME timestamp")
+
+// CurrentTime returns the transaction's timestamp, fixing it now if it was
+// not fixed yet — SQL's CURRENT TIME inside a transaction, one of the
+// paper's "Next Steps" beyond its measured prototype (Section 7.2: the
+// request "needs to return a time consistent with the transaction's
+// timestamp", which "forces a transaction's timestamp to be chosen earlier
+// than its commit time").
+//
+// After the timestamp is fixed, strict two-phase locking guarantees that
+// conflicting transactions either already committed (with smaller
+// timestamps) or wait behind this transaction's locks (and get larger ones);
+// the one remaining hazard — touching a version that committed after the
+// fixed timestamp — is validated on every subsequent read and write, which
+// then fail with ErrTimestampOrder (the transaction should roll back).
+// CurrentTime is only available in Serializable transactions; AS OF
+// transactions simply return their historical read point.
+func (tx *Tx) CurrentTime() (time.Time, error) {
+	if tx.done {
+		return time.Time{}, ErrTxDone
+	}
+	if tx.mode == asOf {
+		return tx.snapTS.Time(), nil
+	}
+	if tx.mode != Serializable {
+		return time.Time{}, fmt.Errorf("immortaldb: CURRENT TIME requires a serializable transaction (have %v)", tx.mode)
+	}
+	if tx.fixedTS.IsZero() {
+		// Reserve the next commit timestamp now. The sequencer moves past
+		// it, so later commits get strictly larger timestamps.
+		tx.db.commitMu.Lock()
+		tx.fixedTS = tx.db.seq.Next()
+		tx.db.commitMu.Unlock()
+	}
+	return tx.fixedTS.Time(), nil
+}
+
+// validateFixedTS enforces the CURRENT TIME ordering rule against a version
+// timestamp the transaction is about to depend on.
+func (tx *Tx) validateFixedTS(ts itime.Timestamp) error {
+	if tx.fixedTS.IsZero() || !ts.After(tx.fixedTS) {
+		return nil
+	}
+	return fmt.Errorf("%w: version at %v, transaction fixed at %v", ErrTimestampOrder, ts, tx.fixedTS)
+}
+
+// minReservedTS returns the smallest timestamp reserved by an active
+// CURRENT TIME transaction, or zero when none is reserved. Time splits must
+// not use a boundary beyond it: such a transaction will commit versions
+// stamped with its (earlier) reserved time, which must still land inside the
+// current page's time range.
+func (db *DB) minReservedTS() itime.Timestamp {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	var min itime.Timestamp
+	for _, tx := range db.active {
+		if !tx.fixedTS.IsZero() && (min.IsZero() || tx.fixedTS.Less(min)) {
+			min = tx.fixedTS
+		}
+	}
+	return min
+}
+
 // Commit finishes the transaction. Its timestamp is chosen now — commit
 // time, the latest possible choice, guaranteeing agreement with
 // serialization order (Section 2.1) — and recorded in one PTT update;
@@ -633,7 +699,7 @@ func (tx *Tx) Commit() error {
 		// agrees with serialization order (Section 2.1).
 		ts = db.seq.Next()
 	}
-	if db.opts.EagerTimestamping {
+	if db.opts.Ablation.EagerTimestamping {
 		// Eager mode: revisit and stamp everything before commit completes.
 		// No TID-to-timestamp mapping needs to outlive the transaction.
 		if err := tx.eagerStamp(ts); err != nil {
@@ -654,7 +720,7 @@ func (tx *Tx) Commit() error {
 		TID:     tx.id,
 		PrevLSN: wal.LSN(tx.lastLSN.Load()),
 		TS:      ts,
-		HasTT:   tx.hasTT && !db.opts.EagerTimestamping,
+		HasTT:   tx.hasTT && !db.opts.Ablation.EagerTimestamping,
 	})
 	if err != nil {
 		// Nothing was published: the VTT entry is still active, exactly as
@@ -668,7 +734,7 @@ func (tx *Tx) Commit() error {
 	// The transaction's fate is now in the log; a checkpoint taken from here
 	// on must not list it as active (see terminalLogged).
 	tx.terminalLogged = true
-	if !db.opts.EagerTimestamping {
+	if !db.opts.Ablation.EagerTimestamping {
 		if serr := db.stamp.Commit(tx.id, ts, tx.hasTT, lsn, func() wal.LSN {
 			// Snapshot-only transactions (no immortal table touched) keep
 			// their mapping in the VTT alone; immortal writers get the one
@@ -712,7 +778,7 @@ func (tx *Tx) Commit() error {
 		// Not durable, so not committed: withdraw the timestamp mapping, or
 		// the VTT/PTT would claim a commit the log cannot prove and lazy
 		// stamping would publish the transaction's versions.
-		if !db.opts.EagerTimestamping {
+		if !db.opts.Ablation.EagerTimestamping {
 			if uerr := db.stamp.UndoCommit(tx.id); uerr != nil {
 				err = fmt.Errorf("%w (timestamp withdraw: %v)", err, uerr)
 			}
