@@ -22,7 +22,6 @@ package immortaldb
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -116,9 +115,11 @@ type Options struct {
 	CommitEvery time.Duration
 	// LockTimeout bounds lock waits (default 10s).
 	LockTimeout time.Duration
-	// FS redirects all file I/O (page file, log, timestamp table) to an
-	// alternative filesystem — vfs.NewSim for crash testing. nil uses the
-	// real one; dir is then created on disk.
+	// FS is the engine's one disk: the page file, the log, the timestamp
+	// table and the cold-tier history runs all live on it, and so do the
+	// databases RestoreAsOf and ExportAsOf create. nil uses vfs.OS(), the
+	// real filesystem, which creates a missing directory on first write;
+	// vfs.NewSim runs the engine on a simulated, fault-injecting disk.
 	FS vfs.FS
 	// DrainTimeout bounds how long Close waits for in-flight transaction
 	// operations (a commit mid-fsync, a scan mid-page) to finish before
@@ -205,20 +206,36 @@ func (o *Options) withDefaults() Options {
 	if out.Clock == nil {
 		out.Clock = itime.Real()
 	}
+	if out.FS == nil {
+		out.FS = vfs.OS()
+	}
 	return out
 }
 
-// dirFS returns the filesystem that database directory dir lives on: FS, or
-// the real one with dir created. Paths on a simulated FS are pure names; only
-// the real one needs the directory to exist.
-func (o *Options) dirFS(dir string) (vfs.FS, error) {
-	if o.FS != nil {
-		return o.FS, nil
+// WipeDir removes every file of the database directory dir from opts.FS (nil
+// opts or FS: the real disk). Files beside dir whose names merely start with
+// it, such as dir2/x or dirfile, are left alone.
+func WipeDir(dir string, opts *Options) error {
+	fsys := opts.withDefaults().FS
+	names, err := dirFiles(fsys, dir)
+	if err != nil {
+		return fmt.Errorf("immortaldb: list %s: %w", dir, err)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("immortaldb: create %s: %w", dir, err)
+	for _, name := range names {
+		if err := fsys.Remove(name); err != nil {
+			return fmt.Errorf("immortaldb: wipe %s: %w", name, err)
+		}
 	}
-	return vfs.OS(), nil
+	return nil
+}
+
+// dirFiles lists the files in directory dir. List takes a file-name prefix,
+// so the trailing separator matters: without it dir's siblings that share its
+// name as a prefix (dir2/..., dirfile) match too. The directory is cleaned the
+// way filepath.Join cleans the engine's own file names, or "./dir" would match
+// none of them.
+func dirFiles(fsys vfs.FS, dir string) ([]string, error) {
+	return fsys.List(filepath.Clean(dir) + string(filepath.Separator))
 }
 
 // DefaultDrainTimeout is Options.DrainTimeout's default.
@@ -388,15 +405,11 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 	if o.TieredHistory && o.Ablation.HistoricalIndex == IndexTSB {
 		return nil, fmt.Errorf("immortaldb: TieredHistory requires IndexChain (TSB mode indexes history in place)")
 	}
-	fsys, err := o.dirFS(dir)
+	pager, err := disk.OpenFS(o.FS, filepath.Join(dir, pagesFile), o.PageSize)
 	if err != nil {
 		return nil, err
 	}
-	pager, err := disk.OpenFS(fsys, filepath.Join(dir, pagesFile), o.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	log, err := wal.OpenFS(fsys, filepath.Join(dir, walFile))
+	log, err := wal.OpenFS(o.FS, filepath.Join(dir, walFile))
 	if err != nil {
 		pager.Close()
 		return nil, err
@@ -413,7 +426,7 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 	ptt, err := cow.Open(filepath.Join(dir, pttFile), cow.Options{
 		ValSize: stamp.PTTValueLen,
 		NoSync:  o.NoSync,
-		FS:      fsys,
+		FS:      o.FS,
 	})
 	if err != nil {
 		log.Close()
@@ -436,7 +449,7 @@ func openDB(dir string, opts *Options, replica bool) (*DB, error) {
 		trees:        make(map[uint32]*tsb.Tree),
 		active:       make(map[itime.TID]*Tx),
 		retainFloors: make(map[uint64]wal.LSN),
-		hist:         hist.NewStore(fsys, dir),
+		hist:         hist.NewStore(o.FS, dir),
 	}
 	db.replica.Store(replica)
 	if !replica {

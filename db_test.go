@@ -3,10 +3,13 @@ package immortaldb
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"immortaldb/internal/itime"
+	"immortaldb/internal/storage/vfs"
 )
 
 // testClock is a deterministic clock advancing a tick every few reads so the
@@ -990,4 +993,46 @@ func TestSameTxnOverwriteCrashUndo(t *testing.T) {
 		t.Fatalf("k after crash undo = %q, %v", v, ok)
 	}
 	tx2.Commit()
+}
+
+// TestWipeDirSparesSiblings pins WipeDir's listing rule on both disks: wiping
+// x/db removes exactly the files under it, not those of a sibling directory
+// (x/db2/) or a sibling file (x/dbfile) whose names start with "x/db", however
+// the directory is spelled.
+func TestWipeDirSparesSiblings(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fs   vfs.FS
+		wipe string // the spelling of x/db passed to WipeDir
+	}{
+		{"os", vfs.OS(), "x/db"},
+		{"sim", vfs.NewSim(1), "x/db"},
+		{"os-unclean", vfs.OS(), "x/./db/"},
+		{"sim-unclean", vfs.NewSim(1), "x/./db/"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			under := []string{filepath.Join(root, "x", "db", "pages"), filepath.Join(root, "x", "db", "wal.0")}
+			siblings := []string{filepath.Join(root, "x", "db2", "pages"), filepath.Join(root, "x", "dbfile")}
+			for _, name := range append(slices.Clone(under), siblings...) {
+				f, err := tc.fs.OpenFile(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+			if err := WipeDir(root+"/"+tc.wipe, &Options{FS: tc.fs}); err != nil {
+				t.Fatal(err)
+			}
+			for _, name := range append(slices.Clone(under), siblings...) {
+				names, err := tc.fs.List(name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if exists, want := slices.Contains(names, name), !slices.Contains(under, name); exists != want {
+					t.Errorf("after wiping %s: %s exists = %v, want %v", tc.wipe, name, exists, want)
+				}
+			}
+		})
+	}
 }

@@ -3,7 +3,6 @@ package fault
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"time"
@@ -302,13 +301,7 @@ func reopenReplica(r *Result) (*immortaldb.DB, error) {
 		if r.Synced.AppliedLSN != 0 {
 			return nil, fmt.Errorf("despite acked position %d: %w", r.Synced.AppliedLSN, err)
 		}
-		names, lerr := r.FS.List(dirName + string(filepath.Separator))
-		for _, name := range names {
-			if lerr == nil {
-				lerr = r.FS.Remove(name)
-			}
-		}
-		if lerr != nil {
+		if lerr := immortaldb.WipeDir(dirName, &immortaldb.Options{FS: r.FS}); lerr != nil {
 			return nil, fmt.Errorf("wipe after failed reopen: %w (reopen error: %v)", lerr, err)
 		}
 		if fdb, err = immortaldb.OpenReplica(dirName, r.options(r.FS)); err != nil {

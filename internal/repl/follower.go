@@ -7,15 +7,12 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"immortaldb"
 	"immortaldb/internal/itime"
-	"immortaldb/internal/storage/vfs"
 	"immortaldb/internal/wal"
 	"immortaldb/internal/wire"
 )
@@ -622,7 +619,7 @@ func (f *Follower) openLocal() (*immortaldb.DB, error) {
 	db, err := immortaldb.OpenReplica(f.cfg.Dir, f.cfg.DBOptions)
 	if err != nil {
 		f.logf("repl: local open failed (%v); wiping %s for re-seed", err, f.cfg.Dir)
-		if werr := f.wipeDir(); werr != nil {
+		if werr := immortaldb.WipeDir(f.cfg.Dir, f.cfg.DBOptions); werr != nil {
 			return nil, fmt.Errorf("repl: wipe after failed open: %w (open error: %v)", werr, err)
 		}
 		return nil, nil // no local engine; hello with From=0 requests a seed
@@ -632,31 +629,6 @@ func (f *Follower) openLocal() (*immortaldb.DB, error) {
 		return nil, err
 	}
 	return db, nil
-}
-
-// wipeDir removes every file under the replica directory.
-func (f *Follower) wipeDir() error {
-	var fsys vfs.FS
-	if f.cfg.DBOptions != nil && f.cfg.DBOptions.FS != nil {
-		fsys = f.cfg.DBOptions.FS
-	} else {
-		if err := os.MkdirAll(f.cfg.Dir, 0o755); err != nil {
-			return err
-		}
-		fsys = vfs.OS()
-	}
-	// Trailing separator: List takes a file-name prefix, and a bare
-	// directory path would list the parent instead.
-	names, err := fsys.List(f.cfg.Dir + string(filepath.Separator))
-	if err != nil {
-		return err
-	}
-	for _, name := range names {
-		if err := fsys.Remove(name); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (f *Follower) dial(ctx context.Context) (net.Conn, error) {

@@ -1,14 +1,16 @@
 // Package vfs defines the virtual file system boundary between the storage
-// engine and the operating system. The pager, the write-ahead log, and the
-// copy-on-write timestamp table all perform their I/O through the File
-// interface, so the entire durable state of a database can be redirected —
-// in production to real files (OS), in crash tests to a simulated disk with
-// deterministic fault injection (Sim).
+// engine and the operating system. The pager, the write-ahead log, the
+// copy-on-write timestamp table and the cold-tier history runs all perform
+// their I/O through the FS and File interfaces, so the entire durable state of
+// a database can be redirected — in production to real files (OS), in crash
+// tests to a simulated disk with deterministic fault injection (Sim). This is
+// the only engine package that calls the os package's file functions.
 package vfs
 
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -39,7 +41,9 @@ type File interface {
 // FS opens, lists and removes files. Paths are opaque to the engine; a
 // simulated FS may treat them as pure names.
 type FS interface {
-	// OpenFile opens the named file read-write, creating it if absent.
+	// OpenFile opens the named file read-write, creating it if absent. The
+	// real FS also creates a missing parent directory; a simulated one treats
+	// paths as pure names and has no directories.
 	OpenFile(name string) (File, error)
 	// List returns the names of existing files whose name starts with
 	// prefix, sorted. The WAL uses it to discover its segment files.
@@ -95,6 +99,12 @@ func OS() FS { return osFS{} }
 
 func (osFS) OpenFile(name string) (File, error) {
 	f, err := os.OpenFile(name, os.O_RDWR|os.O_CREATE, 0o644)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.MkdirAll(filepath.Dir(name), 0o755); err != nil {
+			return nil, err
+		}
+		f, err = os.OpenFile(name, os.O_RDWR|os.O_CREATE, 0o644)
+	}
 	if err != nil {
 		return nil, err
 	}

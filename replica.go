@@ -415,28 +415,15 @@ type BaseInstaller struct {
 // install sized to the snapshot's page geometry.
 func InstallBase(dir string, opts *Options, pageSize int, numPages uint64, meta []byte) (*BaseInstaller, error) {
 	o := opts.withDefaults()
-	fsys, err := o.dirFS(dir)
+	// A half-synced previous copy must not shine through the new one.
+	if err := WipeDir(dir, &o); err != nil {
+		return nil, err
+	}
+	pager, err := disk.OpenFS(o.FS, filepath.Join(dir, pagesFile), pageSize)
 	if err != nil {
 		return nil, err
 	}
-	// A half-synced previous copy must not shine through the new one: remove
-	// every file under the directory prefix. The trailing separator matters —
-	// List takes a file-name prefix, and without it the directory itself is
-	// the prefix, which resolves to a listing of its parent.
-	names, err := fsys.List(dir + string(filepath.Separator))
-	if err != nil {
-		return nil, fmt.Errorf("immortaldb: list %s: %w", dir, err)
-	}
-	for _, name := range names {
-		if err := fsys.Remove(name); err != nil {
-			return nil, fmt.Errorf("immortaldb: wipe %s: %w", name, err)
-		}
-	}
-	pager, err := disk.OpenFS(fsys, filepath.Join(dir, pagesFile), pageSize)
-	if err != nil {
-		return nil, err
-	}
-	bi := &BaseInstaller{fsys: fsys, dir: dir, pager: pager}
+	bi := &BaseInstaller{fsys: o.FS, dir: dir, pager: pager}
 	if err := pager.SetMeta(meta); err != nil {
 		bi.Abort()
 		return nil, err
@@ -450,7 +437,7 @@ func InstallBase(dir string, opts *Options, pageSize int, numPages uint64, meta 
 	ptt, err := cow.Open(filepath.Join(dir, pttFile), cow.Options{
 		ValSize: stamp.PTTValueLen,
 		NoSync:  o.NoSync,
-		FS:      fsys,
+		FS:      o.FS,
 	})
 	if err != nil {
 		bi.Abort()

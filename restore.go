@@ -28,11 +28,7 @@ func ParseAsOf(s string) (Timestamp, error) { return itime.ParseAsOf(s) }
 // same lock that orders commit records), so a single cut point captures
 // exactly the committed state at ts.
 func RestoreAsOf(srcDir, dstDir string, ts Timestamp, opts *Options) error {
-	o := opts.withDefaults()
-	fsys, err := o.dirFS(dstDir)
-	if err != nil {
-		return err
-	}
+	fsys := opts.withDefaults().FS
 	srcLog := filepath.Join(srcDir, walFile)
 	start, err := wal.RetainedStart(fsys, srcLog)
 	if err != nil {
@@ -41,7 +37,7 @@ func RestoreAsOf(srcDir, dstDir string, ts Timestamp, opts *Options) error {
 	if start != wal.FirstLSN {
 		return fmt.Errorf("immortaldb: restore needs the full log chain, but %s starts at %d — run the source with Options.RetainWAL", srcDir, start)
 	}
-	if existing, err := fsys.List(dstDir + string(filepath.Separator)); err == nil && len(existing) > 0 {
+	if existing, err := dirFiles(fsys, dstDir); err == nil && len(existing) > 0 {
 		return fmt.Errorf("immortaldb: restore destination %s is not empty", dstDir)
 	}
 
@@ -94,13 +90,17 @@ func RestoreAsOf(srcDir, dstDir string, ts Timestamp, opts *Options) error {
 // can be extracted. Only immortal tables are exported (conventional tables
 // have no past states to restore). The export carries the state, not the
 // history: it is a conventional point-in-time restore. RestoreAsOf is its
-// sibling that replays the log instead and keeps the history up to ts.
+// sibling that replays the log instead and keeps the history up to ts. The
+// export is created on the source's disk (Options.FS) with the source's page,
+// cache, sync, clock and log segment settings.
 func (db *DB) ExportAsOf(ts Timestamp, dir string) error {
 	out, err := Open(dir, &Options{
-		PageSize:    db.opts.PageSize,
-		CacheFrames: db.opts.CacheFrames,
-		NoSync:      db.opts.NoSync,
-		Clock:       db.opts.Clock,
+		PageSize:       db.opts.PageSize,
+		CacheFrames:    db.opts.CacheFrames,
+		NoSync:         db.opts.NoSync,
+		Clock:          db.opts.Clock,
+		FS:             db.opts.FS,
+		WALSegmentSize: db.opts.WALSegmentSize,
 	})
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -188,49 +189,63 @@ func TestRestoreNeverChangesItsSource(t *testing.T) {
 }
 
 func TestExportAsOf(t *testing.T) {
-	db, _ := openTestDB(t, nil)
-	tbl, _ := db.CreateTable("inventory", TableOptions{Immortal: true})
-	db.CreateTable("scratch", TableOptions{}) // conventional: not exported
-	for i := 0; i < 30; i++ {
-		set(t, db, tbl, fmt.Sprintf("item%02d", i), "stocked")
-	}
-	cut := db.Now()
-	for i := 0; i < 30; i += 2 {
-		del(t, db, tbl, fmt.Sprintf("item%02d", i))
-	}
-	set(t, db, tbl, "item01", "restocked")
+	for _, tc := range []struct {
+		name string
+		fs   vfs.FS // nil: the real disk
+	}{{"os", nil}, {"sim", vfs.NewSim(1)}} {
+		t.Run(tc.name, func(t *testing.T) {
+			onFS := func(o *Options) { o.FS = tc.fs }
+			db, _ := openTestDB(t, onFS)
+			tbl, _ := db.CreateTable("inventory", TableOptions{Immortal: true})
+			db.CreateTable("scratch", TableOptions{}) // conventional: not exported
+			for i := 0; i < 30; i++ {
+				set(t, db, tbl, fmt.Sprintf("item%02d", i), "stocked")
+			}
+			cut := db.Now()
+			for i := 0; i < 30; i += 2 {
+				del(t, db, tbl, fmt.Sprintf("item%02d", i))
+			}
+			set(t, db, tbl, "item01", "restocked")
 
-	exportDir := t.TempDir()
-	if err := db.ExportAsOf(cut, exportDir); err != nil {
-		t.Fatal(err)
-	}
+			exportDir := t.TempDir()
+			if err := db.ExportAsOf(cut, exportDir); err != nil {
+				t.Fatal(err)
+			}
+			if tc.fs != nil {
+				// The export lands on the source's disk, not the real one.
+				if entries, err := os.ReadDir(exportDir); err != nil || len(entries) != 0 {
+					t.Fatalf("export of a %s database left %d entries on the OS disk (%v)", tc.name, len(entries), err)
+				}
+			}
 
-	restored, err := Open(exportDir, testOpts(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if got := restored.Tables(); len(got) != 1 || got[0] != "inventory" {
-		t.Fatalf("restored tables = %v", got)
-	}
-	rtbl, _ := restored.Table("inventory")
-	tx, _ := restored.Begin(Serializable)
-	n := 0
-	tx.Scan(rtbl, nil, nil, func(k, v []byte) bool {
-		if string(v) != "stocked" {
-			t.Fatalf("%s = %q in the restore", k, v)
-		}
-		n++
-		return true
-	})
-	tx.Commit()
-	if n != 30 {
-		t.Fatalf("restore has %d items, want 30 (the pre-deletion state)", n)
-	}
-	// The restore is a live, writable database.
-	if err := restored.Update(func(tx *Tx) error {
-		return tx.Set(rtbl, []byte("item99"), []byte("new"))
-	}); err != nil {
-		t.Fatal(err)
+			restored, err := Open(exportDir, testOpts(onFS))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer restored.Close()
+			if got := restored.Tables(); len(got) != 1 || got[0] != "inventory" {
+				t.Fatalf("restored tables = %v", got)
+			}
+			rtbl, _ := restored.Table("inventory")
+			tx, _ := restored.Begin(Serializable)
+			n := 0
+			tx.Scan(rtbl, nil, nil, func(k, v []byte) bool {
+				if string(v) != "stocked" {
+					t.Fatalf("%s = %q in the restore", k, v)
+				}
+				n++
+				return true
+			})
+			tx.Commit()
+			if n != 30 {
+				t.Fatalf("restore has %d items, want 30 (the pre-deletion state)", n)
+			}
+			// The restore is a live, writable database.
+			if err := restored.Update(func(tx *Tx) error {
+				return tx.Set(rtbl, []byte("item99"), []byte("new"))
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -13,10 +13,11 @@ import (
 	"testing"
 )
 
-// wallClockDirs are the engine's packages: everything that must wait and
-// read time through Options.Clock (an itime.Timeline), never the OS clock,
-// so that a SimClock governs all of it.
-var wallClockDirs = []string{
+// engineDirs are the engine's packages: everything that must wait and read
+// time through Options.Clock (an itime.Timeline), never the OS clock, so that
+// a SimClock governs all of it; and that must read and write files through
+// Options.FS (a vfs.FS), never the os package, so that a SimFS holds all of it.
+var engineDirs = []string{
 	".", "internal/wal", "internal/lock", "internal/tsb", "internal/hist",
 	"internal/stamp", "internal/buffer", "internal/cow", "internal/repl",
 	"internal/server", "internal/client", "internal/admit", "internal/catalog",
@@ -39,10 +40,49 @@ var wallClockAllowed = map[string]string{
 // TestEngineReadsNoWallClock parses the engine's non-test sources and fails
 // on every call that reads or waits on the OS clock directly.
 func TestEngineReadsNoWallClock(t *testing.T) {
-	files := goSources(t, wallClockDirs)
+	for _, b := range forbiddenSelectors(t, engineSources(t), "time", wallClockCalls, wallClockAllowed) {
+		t.Errorf("%s reads the OS clock; wait and read time on Options.Clock instead", b)
+	}
+}
+
+// osFileCalls are the os package functions that open, create, list, inspect,
+// resize or remove files and directories.
+var osFileCalls = map[string]bool{
+	"Open": true, "OpenFile": true, "Create": true, "Remove": true,
+	"RemoveAll": true, "Rename": true, "Mkdir": true, "MkdirAll": true,
+	"MkdirTemp": true, "ReadDir": true, "ReadFile": true, "WriteFile": true,
+	"Stat": true, "Truncate": true,
+}
+
+// TestEngineTouchesNoOSFiles parses the engine's non-test sources outside
+// internal/storage/vfs, the one package that implements the real disk, and
+// fails on every os file call: everything else reaches files through
+// Options.FS, so that a simulated disk sees every byte.
+func TestEngineTouchesNoOSFiles(t *testing.T) {
+	files := slices.DeleteFunc(engineSources(t), func(p string) bool {
+		return strings.HasPrefix(filepath.ToSlash(p), "internal/storage/vfs/")
+	})
+	for _, b := range forbiddenSelectors(t, files, "os", osFileCalls, nil) {
+		t.Errorf("%s touches the OS disk; go through Options.FS (a vfs.FS) instead", b)
+	}
+}
+
+// engineSources lists the non-test sources under engineDirs.
+func engineSources(t *testing.T) []string {
+	t.Helper()
+	files := goSources(t, engineDirs)
 	if len(files) < 50 {
 		t.Fatalf("found only %d source files: the directory list is stale", len(files))
 	}
+	return files
+}
+
+// forbiddenSelectors parses files and returns, sorted, every use of
+// pkg.Name with names[Name] set, where pkg is the name a file imports
+// importPath under. Uses inside a function that allowed lists as
+// "path:function" are skipped.
+func forbiddenSelectors(t *testing.T, files []string, importPath string, names map[string]bool, allowed map[string]string) []string {
+	t.Helper()
 	var bad []string
 	fset := token.NewFileSet()
 	for _, path := range files {
@@ -50,42 +90,40 @@ func TestEngineReadsNoWallClock(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		timePkg := ""
+		pkg := ""
 		for _, imp := range f.Imports {
-			if p, _ := strconv.Unquote(imp.Path.Value); p == "time" {
-				timePkg = "time"
+			if p, _ := strconv.Unquote(imp.Path.Value); p == importPath {
+				pkg = importPath
 				if imp.Name != nil {
-					timePkg = imp.Name.Name
+					pkg = imp.Name.Name
 				}
 			}
 		}
-		if timePkg == "" {
+		if pkg == "" {
 			continue
 		}
 		for _, decl := range f.Decls {
 			fn, _ := decl.(*ast.FuncDecl)
 			ast.Inspect(decl, func(n ast.Node) bool {
 				sel, ok := n.(*ast.SelectorExpr)
-				if !ok || !wallClockCalls[sel.Sel.Name] {
+				if !ok || !names[sel.Sel.Name] {
 					return true
 				}
-				if id, ok := sel.X.(*ast.Ident); !ok || id.Name != timePkg {
+				if id, ok := sel.X.(*ast.Ident); !ok || id.Name != pkg {
 					return true
 				}
 				if fn != nil {
-					if _, ok := wallClockAllowed[path+":"+fn.Name.Name]; ok {
+					if _, ok := allowed[path+":"+fn.Name.Name]; ok {
 						return true
 					}
 				}
-				bad = append(bad, fset.Position(sel.Pos()).String()+": time."+sel.Sel.Name)
+				bad = append(bad, fset.Position(sel.Pos()).String()+": "+importPath+"."+sel.Sel.Name)
 				return true
 			})
 		}
 	}
 	sort.Strings(bad)
-	for _, b := range bad {
-		t.Errorf("%s reads the OS clock; wait and read time on Options.Clock instead", b)
-	}
+	return bad
 }
 
 // goSources lists the non-test Go files under dirs, each a directory or a
