@@ -296,7 +296,9 @@ func BenchmarkSnapshotIsolation(b *testing.B) {
 // client count grows under group commit (experiment C1); clients=1 is the
 // serial reference, one fsync per commit. Unlike the other benchmarks fsync
 // stays ON — the shared sync is the effect under test. The reported ns/op is
-// per commit regardless of the client count.
+// per commit regardless of the client count; commits/fsync is
+// Stats.MeanCommitBatch over the timed storm and fsyncs/commit its log fsyncs
+// per commit.
 func BenchmarkCommitThroughput(b *testing.B) {
 	for _, clients := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
@@ -305,13 +307,21 @@ func BenchmarkCommitThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer e.Close()
+			before := e.DB.Stats()
 			b.ResetTimer()
 			sec, commits, err := repro.CommitStorm(e, clients, b.N)
 			if err != nil {
 				b.Fatal(err)
 			}
 			b.StopTimer()
+			after := e.DB.Stats()
+			window := immortaldb.Stats{
+				LogSyncs:       after.LogSyncs - before.LogSyncs,
+				GroupedCommits: after.GroupedCommits - before.GroupedCommits,
+			}
 			b.ReportMetric(float64(commits)/sec, "commits/s")
+			b.ReportMetric(window.MeanCommitBatch(), "commits/fsync")
+			b.ReportMetric(float64(window.LogSyncs)/float64(commits), "fsyncs/commit")
 		})
 	}
 }

@@ -26,6 +26,38 @@ func buildBenchPage(b testing.TB) *DataPage {
 	return p
 }
 
+// buildBenchIndex fills a default-size index page with current entries over
+// consecutive keys: 143 of them.
+func buildBenchIndex() *IndexPage {
+	ip := NewIndex(3, DefaultSize, 1)
+	for i := 0; ; i++ {
+		e := IndexEntry{R: Rect{LowKey: key(i), HighKey: key(i + 1), HighTS: itime.Max}, Child: ID(10 + i), Leaf: true}
+		if !ip.CanFit(e) {
+			return ip
+		}
+		ip.Add(e)
+	}
+}
+
+// BenchmarkFindChild is one step of a current descent: the child of a full
+// index node that holds a key, at itime.Max.
+func BenchmarkFindChild(b *testing.B) {
+	ip := buildBenchIndex()
+	n := len(ip.Entries)
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i*37%n]
+		if e, ok := ip.FindChild(k, itime.Max); !ok || !e.R.ContainsKey(k) {
+			b.Fatalf("FindChild(%q) = %v, %v", k, e.R, ok)
+		}
+	}
+}
+
 func BenchmarkPageInsert(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

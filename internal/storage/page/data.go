@@ -165,7 +165,8 @@ func (p *DataPage) InsertStamped(key, value []byte, stub bool, ts itime.Timestam
 // SQL Server, where only one new version exists per record per transaction).
 // Otherwise a new non-timestamped version is chained as in Insert.
 func (p *DataPage) InsertOrReplaceOwn(key, value []byte, stub bool, tid itime.TID) (replaced bool, oldVal []byte, oldStub bool, err error) {
-	if slot, found := p.FindSlot(key); found {
+	slot, found := p.FindSlot(key)
+	if found {
 		v := p.Latest(slot)
 		if !v.Stamped && v.TID == tid {
 			delta := len(value) - len(v.Value)
@@ -179,7 +180,8 @@ func (p *DataPage) InsertOrReplaceOwn(key, value []byte, stub bool, tid itime.TI
 			return true, oldVal, oldStub, nil
 		}
 	}
-	return false, nil, false, p.Insert(key, value, stub, tid)
+	v := Version{Key: key, Value: value, Stub: stub, TID: tid, Prev: NoPrev}
+	return false, nil, false, p.insertAt(v, slot, found)
 }
 
 // RestoreOwn undoes an in-place overwrite: the latest version of key, which
@@ -275,6 +277,13 @@ func (p *DataPage) TimeSplitGain(splitTS itime.Timestamp) int {
 }
 
 func (p *DataPage) insert(v Version) error {
+	slot, found := p.FindSlot(v.Key)
+	return p.insertAt(v, slot, found)
+}
+
+// insertAt is insert with v.Key's slot already found: the slot holding it
+// (found) or the slot it would take.
+func (p *DataPage) insertAt(v Version, slot int, found bool) error {
 	if p.NoTail {
 		// Conventional records carry no timestamp; treat them as stamped at
 		// time zero so visibility checks (which skip unstamped versions)
@@ -284,7 +293,6 @@ func (p *DataPage) insert(v Version) error {
 		v.TS = itime.Timestamp{}
 		v.Prev = NoPrev
 	}
-	slot, found := p.FindSlot(v.Key)
 	need := v.size(p.NoTail)
 	if !found {
 		need += slotLen

@@ -412,6 +412,8 @@ func UnmarshalIndex(buf []byte) (*IndexPage, error) {
 			return nil, d.err
 		}
 	}
+	p.cur = make([]uint16, 0, n)
+	p.reindex()
 	return p, nil
 }
 

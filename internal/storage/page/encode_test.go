@@ -206,16 +206,8 @@ func TestDecodeAllocs(t *testing.T) {
 	if err := buildBenchPage(t).Marshal(dbuf); err != nil {
 		t.Fatal(err)
 	}
-	ip := NewIndex(3, DefaultSize, 1)
-	for i := 0; ; i++ {
-		e := IndexEntry{R: Rect{LowKey: key(i), HighKey: key(i + 1), HighTS: itime.Max}, Child: ID(10 + i), Leaf: true}
-		if !ip.CanFit(e) {
-			break
-		}
-		ip.Add(e)
-	}
 	ibuf := make([]byte, DefaultSize)
-	if err := ip.Marshal(ibuf); err != nil {
+	if err := buildBenchIndex().Marshal(ibuf); err != nil {
 		t.Fatal(err)
 	}
 	var nrecs, nentries int

@@ -3,6 +3,7 @@ package page
 import (
 	"bytes"
 	"fmt"
+	"slices"
 
 	"immortaldb/internal/itime"
 )
@@ -17,7 +18,7 @@ type Rect struct {
 }
 
 // ContainsKey reports whether key falls in the rectangle's key interval.
-func (r Rect) ContainsKey(key []byte) bool {
+func (r *Rect) ContainsKey(key []byte) bool {
 	if r.LowKey != nil && bytes.Compare(key, r.LowKey) < 0 {
 		return false
 	}
@@ -30,7 +31,7 @@ func (r Rect) ContainsKey(key []byte) bool {
 // ContainsTime reports whether ts falls in the rectangle's time interval.
 // Open-ended (current) rectangles contain every time >= LowTS, including
 // itime.Max itself, which the engine uses to mean "the current state".
-func (r Rect) ContainsTime(ts itime.Timestamp) bool {
+func (r *Rect) ContainsTime(ts itime.Timestamp) bool {
 	if ts.Less(r.LowTS) {
 		return false
 	}
@@ -38,13 +39,13 @@ func (r Rect) ContainsTime(ts itime.Timestamp) bool {
 }
 
 // Contains reports whether the point (key, ts) is inside the rectangle.
-func (r Rect) Contains(key []byte, ts itime.Timestamp) bool {
+func (r *Rect) Contains(key []byte, ts itime.Timestamp) bool {
 	return r.ContainsKey(key) && r.ContainsTime(ts)
 }
 
 // IntersectsKeyRange reports whether the rectangle's key interval intersects
 // [lo, hi); nil bounds are unbounded.
-func (r Rect) IntersectsKeyRange(lo, hi []byte) bool {
+func (r *Rect) IntersectsKeyRange(lo, hi []byte) bool {
 	if hi != nil && r.LowKey != nil && bytes.Compare(r.LowKey, hi) >= 0 {
 		return false
 	}
@@ -89,8 +90,16 @@ type IndexPage struct {
 	Size int // capacity in bytes; not marshalled
 	// Level is the height above the data pages: 1 means children are data
 	// pages.
-	Level   uint16
+	Level uint16
+	// Entries is the node's child list in no particular order. Mutate it
+	// only through Add, ReplaceChild and SetEntries, which keep cur in step.
 	Entries []IndexEntry
+
+	// cur indexes the current entries (HighTS == itime.Max) in LowKey order.
+	// Every current rectangle contains t = Max, so their key ranges are
+	// disjoint and FindChild can binary-search them. Not marshalled:
+	// UnmarshalIndex and every mutator rebuild it; Validate cross-checks it.
+	cur []uint16
 }
 
 // fixedIndexHeaderLen: id(8) lsn(8) level(2) nentries(2).
@@ -120,14 +129,85 @@ func (p *IndexPage) CanFit(e IndexEntry) bool {
 }
 
 // FindChild returns the entry whose rectangle contains (key, ts). Entries'
-// rectangles are disjoint within a node, so at most one matches.
+// rectangles are disjoint within a node, so at most one matches. The current
+// entry whose key range holds key is found by binary search; it is the answer
+// unless ts lies before its start, which only an AS OF descent through a node
+// with historical entries (IndexTSB) asks, and then every entry is scanned.
 func (p *IndexPage) FindChild(key []byte, ts itime.Timestamp) (IndexEntry, bool) {
+	if e := p.currentFor(key); e != nil && e.R.Contains(key, ts) {
+		return *e, true
+	}
 	for i := range p.Entries {
 		if p.Entries[i].R.Contains(key, ts) {
 			return p.Entries[i], true
 		}
 	}
 	return IndexEntry{}, false
+}
+
+// currentFor returns the current entry whose key range holds key, or nil if
+// no current entry does.
+func (p *IndexPage) currentFor(key []byte) *IndexEntry {
+	j := p.curUpper(key) - 1
+	if j < 0 {
+		return nil
+	}
+	if e := &p.Entries[p.cur[j]]; e.R.ContainsKey(key) {
+		return e
+	}
+	return nil
+}
+
+// curUpper returns the number of current entries whose LowKey is at or below
+// key: the position in cur at which an entry starting at key would go.
+func (p *IndexPage) curUpper(key []byte) int {
+	lo, hi := 0, len(p.cur)
+	for lo < hi {
+		m := (lo + hi) / 2
+		if lk := p.Entries[p.cur[m]].R.LowKey; lk == nil || bytes.Compare(lk, key) <= 0 {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// compareLow orders LowKeys with nil (unbounded) first.
+func compareLow(a, b []byte) int {
+	switch {
+	case a == nil && b == nil:
+		return 0
+	case a == nil:
+		return -1
+	case b == nil:
+		return 1
+	}
+	return bytes.Compare(a, b)
+}
+
+// reindex rebuilds cur from Entries.
+func (p *IndexPage) reindex() {
+	p.cur = p.cur[:0]
+	for i := range p.Entries {
+		if p.Entries[i].R.HighTS.IsMax() {
+			p.cur = append(p.cur, uint16(i))
+		}
+	}
+	ents := p.Entries
+	slices.SortFunc(p.cur, func(a, b uint16) int {
+		return compareLow(ents[a].R.LowKey, ents[b].R.LowKey)
+	})
+}
+
+// curInsert adds Entries[i], which must be current, to cur.
+func (p *IndexPage) curInsert(i int) {
+	lk := p.Entries[i].R.LowKey
+	j := 0
+	if lk != nil {
+		j = p.curUpper(lk)
+	}
+	p.cur = slices.Insert(p.cur, j, uint16(i))
 }
 
 // ChildrenForTime returns all entries whose time interval contains ts and
@@ -158,14 +238,32 @@ func (p *IndexPage) ChildrenForKey(key []byte) []IndexEntry {
 
 // Add appends an entry. The caller is responsible for capacity (CanFit) and
 // for keeping sibling rectangles disjoint.
-func (p *IndexPage) Add(e IndexEntry) { p.Entries = append(p.Entries, e) }
+func (p *IndexPage) Add(e IndexEntry) {
+	p.Entries = append(p.Entries, e)
+	if e.R.HighTS.IsMax() {
+		p.curInsert(len(p.Entries) - 1)
+	}
+}
+
+// SetEntries replaces the whole child list, as an index split does to both
+// halves.
+func (p *IndexPage) SetEntries(es []IndexEntry) {
+	p.Entries = es
+	p.reindex()
+}
 
 // ReplaceChild rewrites the entry for child old in place. It returns false
 // if no entry references old.
 func (p *IndexPage) ReplaceChild(old ID, e IndexEntry) bool {
 	for i := range p.Entries {
 		if p.Entries[i].Child == old {
+			if p.Entries[i].R.HighTS.IsMax() {
+				p.cur = slices.DeleteFunc(p.cur, func(c uint16) bool { return int(c) == i })
+			}
 			p.Entries[i] = e
+			if e.R.HighTS.IsMax() {
+				p.curInsert(i)
+			}
 			return true
 		}
 	}
@@ -182,8 +280,26 @@ func (p *IndexPage) EntryFor(child ID) (IndexEntry, bool) {
 	return IndexEntry{}, false
 }
 
-// Validate checks that entry rectangles are pairwise disjoint.
+// Validate checks that entry rectangles are pairwise disjoint and that the
+// search view lists exactly the current entries in LowKey order.
 func (p *IndexPage) Validate() error {
+	ncur := 0
+	for i := range p.Entries {
+		if p.Entries[i].R.HighTS.IsMax() {
+			ncur++
+		}
+	}
+	if ncur != len(p.cur) {
+		return fmt.Errorf("index page %d: search view holds %d entries, page has %d current", p.ID, len(p.cur), ncur)
+	}
+	for j, c := range p.cur {
+		if int(c) >= len(p.Entries) || !p.Entries[c].R.HighTS.IsMax() {
+			return fmt.Errorf("index page %d: search view slot %d names entry %d, not a current one", p.ID, j, c)
+		}
+		if j > 0 && compareLow(p.Entries[p.cur[j-1]].R.LowKey, p.Entries[c].R.LowKey) >= 0 {
+			return fmt.Errorf("index page %d: search view out of LowKey order at slot %d", p.ID, j)
+		}
+	}
 	for i := range p.Entries {
 		for j := i + 1; j < len(p.Entries); j++ {
 			a, b := p.Entries[i].R, p.Entries[j].R

@@ -1,6 +1,8 @@
 package page
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"immortaldb/internal/itime"
@@ -117,6 +119,41 @@ func TestIndexPageFindChild(t *testing.T) {
 	}
 }
 
+// TestFindChildCurrentNeedsNoScan checks the binary search itself: on a
+// node whose current entries tile the key space (added in shuffled order,
+// with historical entries between them), every key finds its current entry
+// without the fallback scan.
+func TestFindChildCurrentNeedsNoScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bounds := []string{"-"}
+	for i := 1; i < 40; i++ {
+		bounds = append(bounds, fmt.Sprintf("k%03d", i*5))
+	}
+	bounds = append(bounds, "-")
+	var es []IndexEntry
+	for i := 0; i+1 < len(bounds); i++ {
+		es = append(es,
+			IndexEntry{R: rect(bounds[i], bounds[i+1], 0, 50), Child: ID(2*i + 1), Leaf: true},
+			IndexEntry{R: rect(bounds[i], bounds[i+1], 50, -1), Child: ID(2*i + 2), Leaf: true})
+	}
+	rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] })
+	p := NewIndex(1, DefaultSize, 1)
+	for _, e := range es {
+		p.Add(e)
+	}
+	if err := p.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i <= 200; i++ {
+		for _, k := range [][]byte{[]byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("k%03d\x00", i))} {
+			e := p.currentFor(k)
+			if e == nil || !e.R.Contains(k, itime.Max) {
+				t.Fatalf("currentFor(%q) = %v, want the current entry holding it", k, e)
+			}
+		}
+	}
+}
+
 func TestIndexPageChildrenForTime(t *testing.T) {
 	p := NewIndex(1, DefaultSize, 1)
 	p.Add(IndexEntry{R: rect("-", "m", 0, 50), Child: 1, Leaf: true})
@@ -173,7 +210,7 @@ func TestIndexValidateOverlap(t *testing.T) {
 		t.Fatal("overlapping rects not detected")
 	}
 	// Touching rects do not overlap.
-	p.Entries = nil
+	p.SetEntries(nil)
 	p.Add(IndexEntry{R: rect("-", "m", 0, 50), Child: 1, Leaf: true})
 	p.Add(IndexEntry{R: rect("m", "-", 0, 50), Child: 2, Leaf: true})
 	p.Add(IndexEntry{R: rect("-", "-", 50, -1), Child: 3, Leaf: true})

@@ -386,8 +386,8 @@ func (t *Tree) splitIndex(path []pathEntry, i int) error {
 			return err
 		}
 		right = page.NewIndex(rid, t.cfg.Pool.PageSize(), ip.Level)
-		right.Entries = rights
-		ip.Entries = lefts
+		right.SetEntries(rights)
+		ip.SetEntries(lefts)
 		lr := pe.rect
 		lr.HighKey = cloneKey(b)
 		rr := pe.rect
@@ -434,8 +434,8 @@ func (t *Tree) splitIndex(path []pathEntry, i int) error {
 			return err
 		}
 		right = page.NewIndex(rid, t.cfg.Pool.PageSize(), ip.Level)
-		right.Entries = move
-		ip.Entries = stay
+		right.SetEntries(move)
+		ip.SetEntries(stay)
 		hr := pe.rect
 		hr.HighTS = tMin
 		cr := pe.rect

@@ -601,11 +601,20 @@ func (l *Log) FlushTo(lsn LSN) error {
 
 // SyncTo makes the record at lsn durable — the commit path's durability
 // point. Concurrent callers share fsyncs (group commit): they elect a
-// leader, which (optionally waiting CommitEvery for more committers to
-// append) runs one flush round covering everything appended so far, while
-// followers park; when the round ends, every caller whose record it covered
-// returns on that single shared fsync, and anyone left over competes to lead
-// the next round. A lone caller leads a round of its own.
+// leader, which runs one flush round covering everything appended so far,
+// while followers park; when the round ends, every caller whose record it
+// covered returns on that single shared fsync, and anyone left over competes
+// to lead the next round. A lone caller leads a round of its own.
+//
+// Before its round the leader waits CommitEvery if that is set. Otherwise,
+// when the round will fsync, it yields the processor once. Committers already
+// on the run queue then append before the round captures the buffer: a
+// goroutine blocked in a short fsync keeps its P until the runtime retakes
+// it, so on few-core boxes concurrent committers would otherwise rarely
+// overlap a round. The yield also keeps a lone durable writer from starving
+// the other goroutines of its process, such as a paced reader. Under NoSync
+// there is no fsync to share or wait on, and the yield is skipped: it is
+// not free, since it wakes an idle P even when nothing else can run.
 func (l *Log) SyncTo(lsn LSN) error {
 	l.gcMu.Lock()
 	if l.gcCond == nil {
@@ -644,14 +653,7 @@ func (l *Log) SyncTo(lsn LSN) error {
 			l.gcMu.Unlock()
 			if l.CommitEvery > 0 {
 				l.Clock.Sleep(context.Background(), l.CommitEvery)
-			} else {
-				// Give committers already on the run queue one scheduler pass
-				// to append before the round captures the buffer. A goroutine
-				// blocked in a short fsync keeps its P until the runtime
-				// retakes it, so on few-core boxes concurrent committers
-				// otherwise never overlap a sync round and every round flushes
-				// a single record. With an idle run queue this is a no-op, so
-				// a lone committer pays nothing.
+			} else if !l.NoSync {
 				runtime.Gosched()
 			}
 			err := func() error {

@@ -37,7 +37,11 @@ func RestoreAsOf(srcDir, dstDir string, ts Timestamp, opts *Options) error {
 	if start != wal.FirstLSN {
 		return fmt.Errorf("immortaldb: restore needs the full log chain, but %s starts at %d — run the source with Options.RetainWAL", srcDir, start)
 	}
-	if existing, err := dirFiles(fsys, dstDir); err == nil && len(existing) > 0 {
+	existing, err := dirFiles(fsys, dstDir)
+	if err != nil {
+		return fmt.Errorf("immortaldb: restore destination %s: %w", dstDir, err)
+	}
+	if len(existing) > 0 {
 		return fmt.Errorf("immortaldb: restore destination %s is not empty", dstDir)
 	}
 

@@ -2,6 +2,7 @@ package immortaldb
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -185,6 +186,74 @@ func TestRestoreNeverChangesItsSource(t *testing.T) {
 		if !bytes.Equal(after[name], b) {
 			t.Errorf("restore changed source file %s", name)
 		}
+	}
+}
+
+// listFailFS is an FS whose List fails for names under prefix.
+type listFailFS struct {
+	vfs.FS
+	prefix string
+	err    error
+}
+
+func (f listFailFS) List(prefix string) ([]string, error) {
+	if strings.HasPrefix(prefix, f.prefix) {
+		return nil, f.err
+	}
+	return f.FS.List(prefix)
+}
+
+// TestRestoreAsOfRefusesDestination checks that a restore writes nothing
+// into a destination it cannot prove empty: one that holds a file, or one
+// whose listing fails.
+func TestRestoreAsOfRefusesDestination(t *testing.T) {
+	errList := errors.New("list: permission denied")
+	for _, tc := range []struct {
+		name    string
+		fs      func(*vfs.SimFS) vfs.FS
+		junk    bool  // dst holds a file before the restore
+		wantErr error // nil: any error
+	}{
+		{"not-empty", func(s *vfs.SimFS) vfs.FS { return s }, true, nil},
+		{"list-fails", func(s *vfs.SimFS) vfs.FS { return listFailFS{s, "dst", errList} }, false, errList},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim := vfs.NewSim(1)
+			opts := &Options{FS: sim, Clock: testClock(), PageSize: 1024, CacheFrames: 16, RetainWAL: true}
+			src, err := Open("src", opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := src.CreateTable("acct", TableOptions{Immortal: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			commitKV(t, src, tbl, "k", "v")
+			if err := src.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.junk {
+				f, err := sim.OpenFile("dst/junk")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := f.WriteAt([]byte("x"), 0); err != nil {
+					t.Fatal(err)
+				}
+				f.Close()
+			}
+			before, _ := sim.List("dst/")
+
+			restoreOpts := *opts
+			restoreOpts.FS = tc.fs(sim)
+			err = RestoreAsOf("src", "dst", itime.Max, &restoreOpts)
+			if err == nil || (tc.wantErr != nil && !errors.Is(err, tc.wantErr)) {
+				t.Fatalf("RestoreAsOf = %v, want an error wrapping %v", err, tc.wantErr)
+			}
+			if after, _ := sim.List("dst/"); fmt.Sprint(after) != fmt.Sprint(before) {
+				t.Fatalf("refused restore changed the destination: %v before, %v after", before, after)
+			}
+		})
 	}
 }
 
