@@ -14,15 +14,69 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
-	"immortaldb/internal/repro"
 	"immortaldb/internal/sim"
 )
+
+// report is one scenario run plus everything needed to replay it: the
+// scenario name and seed are the complete repro parameters — the harness is
+// deterministic, so they reproduce the run bit-for-bit. -out writes a list of
+// them as JSON, the CI artifact.
+type report struct {
+	Scenario   string   `json:"scenario"`
+	Seed       int64    `json:"seed"`
+	Hash       string   `json:"hash"`
+	Hash2      string   `json:"hash2,omitempty"`
+	Events     int      `json:"events"`
+	Ops        int      `json:"ops"`
+	Errors     int      `json:"errors"`
+	Violations []string `json:"violations,omitempty"`
+	// Deterministic is set when the run was executed twice and the trace
+	// hashes compared.
+	Deterministic *bool `json:"deterministic,omitempty"`
+}
+
+// failed reports whether the run violated an oracle or the determinism
+// contract.
+func (r *report) failed() bool {
+	return len(r.Violations) > 0 || (r.Deterministic != nil && !*r.Deterministic)
+}
+
+// run executes one predefined scenario under one seed. With verify set, it
+// runs twice and records whether the trace hashes matched.
+func run(name string, seed int64, verify bool) (*report, error) {
+	sc, _ := sim.Predefined(name)
+	res, err := sim.Run(sc, seed)
+	if err != nil {
+		return nil, err
+	}
+	rep := &report{
+		Scenario:   name,
+		Seed:       seed,
+		Hash:       res.Hash,
+		Events:     res.Events,
+		Ops:        res.Ops,
+		Errors:     res.Errors,
+		Violations: res.Violations,
+	}
+	if verify {
+		res2, err := sim.Run(sc, seed)
+		if err != nil {
+			return nil, err
+		}
+		rep.Hash2 = res2.Hash
+		det := res2.Hash == res.Hash
+		rep.Deterministic = &det
+	}
+	return rep, nil
+}
 
 func main() {
 	var (
@@ -50,48 +104,57 @@ func main() {
 		}
 		seedList = append(seedList, v)
 	}
+	names := sim.ScenarioNames()
+	if *scenario != "all" {
+		if !slices.Contains(names, *scenario) {
+			fmt.Fprintf(os.Stderr, "simscn: unknown scenario %q (have %v)\n", *scenario, names)
+			os.Exit(2)
+		}
+		names = []string{*scenario}
+	}
 
-	var (
-		reports []*repro.ScenarioReport
-		pass    = true
-		err     error
-	)
-	if *scenario == "all" {
-		reports, pass, err = repro.ScenarioSuite(seedList, *verify, os.Stdout)
-	} else {
-		for _, seed := range seedList {
-			var rep *repro.ScenarioReport
-			rep, err = repro.RunScenario(*scenario, seed, *verify)
+	var reports []*report
+	pass := true
+	for _, seed := range seedList {
+		for _, name := range names {
+			rep, err := run(name, seed, *verify)
 			if err != nil {
-				break
+				fmt.Fprintf(os.Stderr, "simscn: %v\n", err)
+				os.Exit(2)
 			}
 			reports = append(reports, rep)
-			fmt.Printf("%s seed=%d ops=%d errs=%d events=%d hash=%s\n",
-				rep.Scenario, rep.Seed, rep.Ops, rep.Errors, rep.Events, rep.Hash)
+			status := "ok"
+			if rep.failed() {
+				status = "FAIL"
+				pass = false
+			}
+			fmt.Printf("%-10s seed=%-12d %s  ops=%d errs=%d events=%d hash=%s\n",
+				rep.Scenario, rep.Seed, status, rep.Ops, rep.Errors, rep.Events, rep.Hash[:16])
 			for _, v := range rep.Violations {
 				fmt.Printf("  violation: %s\n", v)
 			}
-			if rep.Failed() {
-				pass = false
-				fmt.Printf("  repro: %s\n", rep.ReproLine())
+			if rep.Deterministic != nil && !*rep.Deterministic {
+				fmt.Printf("  nondeterministic: %s vs %s\n", rep.Hash, rep.Hash2)
+			}
+			if rep.failed() {
+				fmt.Printf("  repro: go run ./cmd/simscn -scenario %s -seed %d\n", rep.Scenario, rep.Seed)
 			}
 		}
 	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "simscn: %v\n", err)
-		os.Exit(2)
-	}
 	if *out != "" {
-		f, ferr := os.Create(*out)
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "simscn: %v\n", ferr)
+		f, err := os.Create(*out)
+		if err == nil {
+			enc := json.NewEncoder(f)
+			enc.SetIndent("", "  ")
+			err = enc.Encode(reports)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "simscn: %v\n", err)
 			os.Exit(2)
 		}
-		if werr := repro.WriteScenarioReports(f, reports); werr != nil {
-			fmt.Fprintf(os.Stderr, "simscn: %v\n", werr)
-			os.Exit(2)
-		}
-		f.Close()
 	}
 	if !pass {
 		os.Exit(1)

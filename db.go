@@ -169,8 +169,8 @@ type Options struct {
 
 // Ablation selects the paper's rejected or deferred design alternatives, so
 // that its experiments can be reproduced. None is a deployment setting: the
-// zero value is the paper's chosen design, and only the engine's own tests,
-// internal/repro and cmd/benchfig6 set a field (TestAblationsStayFenced).
+// zero value is the paper's chosen design, and only the engine's own tests
+// and internal/repro set a field (TestAblationsStayFenced).
 type Ablation struct {
 	// EagerTimestamping stamps versions at commit, with logging, instead of
 	// lazily (ablation A1 — the alternative Section 2.2 argues against).

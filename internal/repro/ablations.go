@@ -16,7 +16,6 @@ type EagerRow struct {
 	Mode        string // "lazy" or "eager"
 	Seconds     float64
 	LogBytes    int64
-	LogRecords  uint64 // approximated by stamps+commits via Stats
 	PTTEntries  uint64
 	PerTxnMicro float64
 }
@@ -168,7 +167,6 @@ type GCRow struct {
 	GC         bool
 	Txns       int
 	PTTEntries uint64
-	VTTEntries int
 }
 
 // RunPTTGC measures Persistent Timestamp Table growth. With incremental GC

@@ -2,8 +2,8 @@
 // transaction-overhead experiment of Figure 5, the AS OF query experiment of
 // Figure 6, and the ablations DESIGN.md catalogues (eager vs lazy
 // timestamping, chain vs TSB-tree historical access, PTT garbage collection,
-// and the key-split threshold). The cmd/benchfig5 and cmd/benchfig6 binaries
-// and the root bench_test.go both drive this package.
+// and the key-split threshold), each defined once here. cmd/benchpaper prints
+// them, and repro_test.go runs every one at unit-test scale.
 package repro
 
 import (
@@ -27,10 +27,6 @@ type Options struct {
 	PageSize int
 	// Seed for the moving-objects generator.
 	Seed int64
-	// CacheFrames bounds the buffer pool (0 = engine default). The paper's
-	// historical-query results are I/O-bound; a cache smaller than the
-	// accumulated history reproduces that regime.
-	CacheFrames int
 }
 
 func (o Options) withDefaults() Options {
@@ -79,10 +75,9 @@ func NewEnv(o Options, immortal bool, mutate func(*immortaldb.Options)) (*Env, e
 	clock.AutoStep = 1
 	clock.AutoEvery = 5
 	dbOpts := &immortaldb.Options{
-		PageSize:    o.PageSize,
-		CacheFrames: o.CacheFrames,
-		NoSync:      true, // measure engine cost, not disk latency
-		Clock:       clock,
+		PageSize: o.PageSize,
+		NoSync:   true, // measure engine cost, not disk latency
+		Clock:    clock,
 	}
 	if mutate != nil {
 		mutate(dbOpts)
@@ -362,9 +357,10 @@ func Fig6Label(m Fig6Mix) string {
 }
 
 // RunFig6 regenerates Figure 6: full-table-scan AS OF queries at increasing
-// history depth, for each insert/update mix, over 36,000 transactions. The
-// scan repeats `reps` times per point (>=1) and reports the average.
-func RunFig6(o Options, mixes []Fig6Mix, pcts []int, reps int, mutate func(*immortaldb.Options)) ([]Fig6Row, error) {
+// history depth, for each insert/update mix, over 36,000 transactions, with
+// history reached through index. The scan repeats `reps` times per point
+// (>=1) and reports the median.
+func RunFig6(o Options, mixes []Fig6Mix, pcts []int, reps int, index immortaldb.IndexMode) ([]Fig6Row, error) {
 	o = o.withDefaults()
 	if len(pcts) == 0 {
 		pcts = []int{0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
@@ -380,14 +376,13 @@ func RunFig6(o Options, mixes []Fig6Mix, pcts []int, reps int, mutate func(*immo
 		if err != nil {
 			return nil, err
 		}
-		oe := o
-		if oe.CacheFrames == 0 {
+		e, err := NewEnv(o, true, func(op *immortaldb.Options) {
 			// Keep the buffer pool smaller than the accumulated history so
 			// deep AS OF scans pay for page fetches, as in the paper's
 			// disk-bound testbed.
-			oe.CacheFrames = 64
-		}
-		e, err := NewEnv(oe, true, mutate)
+			op.CacheFrames = 64
+			op.Ablation.HistoricalIndex = index
+		})
 		if err != nil {
 			return nil, err
 		}

@@ -2,10 +2,14 @@ package repro
 
 import (
 	"testing"
+
+	"immortaldb"
 )
 
-// tiny returns options small enough for unit testing (the real sizes run in
-// cmd/benchfig5, cmd/benchfig6 and the root benchmarks).
+// tiny returns options small enough for unit testing (cmd/benchpaper runs
+// the real sizes). At this scale A1 and A3 run 320 single-record
+// transactions over 10 objects, and each Figure 6 mix inserts 2% of its
+// paper-size object count.
 func tiny() Options { return Options{Scale: 0.02, PageSize: 2048, Seed: 1} }
 
 func TestRunFig5Shape(t *testing.T) {
@@ -35,32 +39,34 @@ func TestRunFig5Shape(t *testing.T) {
 }
 
 func TestRunFig6Shape(t *testing.T) {
-	rows, err := RunFig6(tiny(), []Fig6Mix{{500, 72}, {2000, 18}}, []int{0, 50, 100}, 1, nil)
+	rows, err := RunFig6(tiny(), []Fig6Mix{{500, 72}, {2000, 18}}, []int{0, 50, 100}, 1, immortaldb.IndexChain)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// A recent (0%) scan over the 500-insert mix returns fewer records than
-	// over the 2000-insert mix ("an as of query that asks about the recent
-	// history will have better performance with lower number of inserts,
-	// basically because the number of retrieved records is smaller").
-	var small, large int
+	// A recent (0%) scan returns every inserted object, so the 500-insert mix
+	// returns fewer records than the 2000-insert mix ("an as of query that
+	// asks about the recent history will have better performance with lower
+	// number of inserts, basically because the number of retrieved records is
+	// smaller"). The oldest point is just after the first transaction: one
+	// record.
+	inserted := map[int]int{500: 10, 2000: 40}
 	for _, r := range rows {
-		if r.PctHistory == 0 {
-			if r.Mix.Inserts == 500 {
-				small = r.Rows
-			} else if r.Mix.Inserts == 2000 {
-				large = r.Rows
-			}
+		want := -1
+		switch r.PctHistory {
+		case 0:
+			want = inserted[r.Mix.Inserts]
+		case 100:
+			want = 1
+		}
+		if want >= 0 && r.Rows != want {
+			t.Errorf("%s at %d%%: %d rows, want %d", Fig6Label(r.Mix), r.PctHistory, r.Rows, want)
 		}
 		if r.Rows == 0 {
 			t.Fatalf("empty scan at %+v", r)
 		}
-	}
-	if small >= large {
-		t.Fatalf("row counts: %d (0.5K) vs %d (2K)", small, large)
 	}
 	if Fig6Label(Fig6Mix{500, 72}) != "0.5K*72" || Fig6Label(Fig6Mix{2000, 18}) != "2K*18" {
 		t.Fatal("labels wrong")
@@ -79,9 +85,9 @@ func TestRunEagerVsLazy(t *testing.T) {
 	if rows[1].LogBytes <= rows[0].LogBytes {
 		t.Fatalf("eager log (%d) not larger than lazy (%d)", rows[1].LogBytes, rows[0].LogBytes)
 	}
-	// Lazy populates the PTT; eager does not.
-	if rows[0].PTTEntries == 0 || rows[1].PTTEntries != 0 {
-		t.Fatalf("PTT entries: lazy=%d eager=%d", rows[0].PTTEntries, rows[1].PTTEntries)
+	// Lazy keeps one PTT entry per transaction; eager keeps none.
+	if rows[0].PTTEntries != 320 || rows[1].PTTEntries != 0 {
+		t.Fatalf("PTT entries: lazy=%d (want 320) eager=%d (want 0)", rows[0].PTTEntries, rows[1].PTTEntries)
 	}
 }
 
@@ -116,21 +122,20 @@ func TestRunPTTGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var gcFinal, noGCFinal uint64
-	var noGCTxns int
-	for _, r := range rows {
-		if r.GC {
-			gcFinal = r.PTTEntries
-		} else {
-			noGCFinal = r.PTTEntries
-			noGCTxns = r.Txns
+	// Four rows per arm, one every 80 transactions. With GC on, two
+	// checkpoints empty the PTT; with GC off it keeps one entry per
+	// transaction.
+	if len(rows) != 8 {
+		t.Fatalf("rows = %d, want 8", len(rows))
+	}
+	for i, r := range rows {
+		want := uint64(0)
+		if !r.GC {
+			want = uint64(r.Txns)
 		}
-	}
-	if noGCFinal < uint64(noGCTxns) {
-		t.Fatalf("GC-off PTT entries = %d, want >= %d (one per txn)", noGCFinal, noGCTxns)
-	}
-	if gcFinal*4 > noGCFinal {
-		t.Fatalf("GC ineffective: %d vs %d entries", gcFinal, noGCFinal)
+		if r.GC != (i < 4) || r.Txns != 80*(i%4+1) || r.PTTEntries != want {
+			t.Errorf("row %d = %+v, want GC=%v Txns=%d PTTEntries=%d", i, r, i < 4, 80*(i%4+1), want)
+		}
 	}
 }
 

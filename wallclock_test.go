@@ -5,7 +5,9 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"sort"
 	"strconv"
@@ -70,7 +72,7 @@ func TestEngineTouchesNoOSFiles(t *testing.T) {
 // engineSources lists the non-test sources under engineDirs.
 func engineSources(t *testing.T) []string {
 	t.Helper()
-	files := goSources(t, engineDirs)
+	files := goSources(t, engineDirs, false)
 	if len(files) < 50 {
 		t.Fatalf("found only %d source files: the directory list is stale", len(files))
 	}
@@ -126,9 +128,10 @@ func forbiddenSelectors(t *testing.T, files []string, importPath string, names m
 	return bad
 }
 
-// goSources lists the non-test Go files under dirs, each a directory or a
-// "dir/..." tree. A tree walk skips hidden directories and testdata.
-func goSources(t *testing.T, dirs []string) []string {
+// goSources lists the Go files under dirs, each a directory or a "dir/..."
+// tree: the test files if tests is set, else the non-test files. A tree walk
+// skips hidden directories and testdata.
+func goSources(t *testing.T, dirs []string, tests bool) []string {
 	t.Helper()
 	var files []string
 	for _, d := range dirs {
@@ -143,7 +146,7 @@ func goSources(t *testing.T, dirs []string) []string {
 				}
 				return nil
 			}
-			if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			if strings.HasSuffix(path, ".go") && strings.HasSuffix(path, "_test.go") == tests {
 				files = append(files, path)
 			}
 			return nil
@@ -155,9 +158,93 @@ func goSources(t *testing.T, dirs []string) []string {
 	return files
 }
 
-// ablationUsers are the only places outside the root package that may set
-// Options.Ablation: the paper's experiments and their one command.
-var ablationUsers = []string{"internal/repro/", "cmd/benchfig6/"}
+// docCodeSpan is a Markdown inline code span; docTestName is a test,
+// fuzz-target or benchmark function name, or a name prefix ending in "*".
+var (
+	docCodeSpan = regexp.MustCompile("`([^`]+)`")
+	docTestName = regexp.MustCompile(`^(Test|Fuzz|Benchmark)\w*\*?$`)
+)
+
+// TestDocsNameRealCode reads DESIGN.md and README.md and fails on each inline
+// code span that names code which does not exist: an internal/… or cmd/…
+// path or a *.go file (a bare file name is a root file), or a Test, Fuzz or
+// Benchmark function name (or "Prefix*") that no test file of the module or
+// of bench/ declares.
+func TestDocsNameRealCode(t *testing.T) {
+	funcs := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range goSources(t, []string{"./..."}, true) {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil {
+				funcs[fn.Name.Name] = true
+			}
+		}
+	}
+	if !funcs["TestDocsNameRealCode"] {
+		t.Fatal("the test-file walk did not find this test: it is broken")
+	}
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Blank out fenced code blocks, keeping their lines for numbering.
+		lines := strings.Split(string(b), "\n")
+		fenced := false
+		for i, l := range lines {
+			if strings.HasPrefix(strings.TrimSpace(l), "```") {
+				fenced = !fenced
+				lines[i] = ""
+			} else if fenced {
+				lines[i] = ""
+			}
+		}
+		text := strings.Join(lines, "\n")
+		for _, m := range docCodeSpan.FindAllStringSubmatchIndex(text, -1) {
+			fields := strings.Fields(text[m[2]:m[3]])
+			if len(fields) == 0 {
+				continue
+			}
+			ref, _, _ := strings.Cut(strings.TrimPrefix(fields[0], "./"), ":") // drop a :line suffix
+			name, _, _ := strings.Cut(ref, "/")                                // drop a /subtest suffix
+			var missing bool
+			switch {
+			case docTestName.MatchString(name):
+				missing = !declares(funcs, name)
+			case strings.HasPrefix(ref, "internal/") || strings.HasPrefix(ref, "cmd/") || strings.HasSuffix(ref, ".go"):
+				_, err := os.Stat(strings.TrimRight(ref, "./*")) // internal/... and cmd/* name their root
+				missing = err != nil
+			}
+			if missing {
+				t.Errorf("%s:%d: `%s` names no file, package or test function", doc, strings.Count(text[:m[0]], "\n")+1, text[m[2]:m[3]])
+			}
+		}
+	}
+}
+
+// declares reports whether funcs holds name, or for "Prefix*" a name with
+// that prefix.
+func declares(funcs map[string]bool, name string) bool {
+	prefix, ok := strings.CutSuffix(name, "*")
+	if !ok {
+		return funcs[name]
+	}
+	for f := range funcs {
+		if strings.HasPrefix(f, prefix) {
+			return true
+		}
+	}
+	return false
+}
+
+// ablationUsers is the only place outside the root package that may set
+// Options.Ablation: the paper's experiments, whose command (cmd/benchpaper)
+// chooses among them without naming a field.
+var ablationUsers = []string{"internal/repro/"}
 
 // TestAblationsStayFenced parses every non-test source of the module and of
 // the benchmark module (bench/) and fails on each mention of Ablation — a
@@ -165,7 +252,7 @@ var ablationUsers = []string{"internal/repro/", "cmd/benchfig6/"}
 // ablationUsers: the paper's rejected alternatives are not deployment
 // settings, so no server, tool, example or benchmark may set one.
 func TestAblationsStayFenced(t *testing.T) {
-	files := goSources(t, []string{"./..."})
+	files := goSources(t, []string{"./..."}, false)
 	if len(files) < 80 || !slices.ContainsFunc(files, func(p string) bool { return strings.HasPrefix(filepath.ToSlash(p), "bench/") }) {
 		t.Fatalf("found only %d source files, or none under bench/: the walk is broken", len(files))
 	}
